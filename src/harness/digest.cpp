@@ -40,58 +40,31 @@ class Fnv {
   std::uint64_t hash_ = 14695981039346656037ULL;
 };
 
+// Mixes the counters of one digest group in list order, except `skip`.
+void mix_group(Fnv& f, const RunMetrics& m, DigestGroup group,
+               std::uint64_t RunMetrics::*skip = nullptr) {
+  for (const RunMetricsField& field : kRunMetricsFields) {
+    if (field.group == group && field.member != skip) {
+      f.mix_u64(m.*field.member);
+    }
+  }
+}
+
 void mix_metrics(Fnv& f, const RunMetrics& m) {
-  f.mix_u64(m.update_packets_originated);
-  f.mix_u64(m.update_transmissions);
-  f.mix_u64(m.aggregation_packets);
-  f.mix_u64(m.aggregation_transmissions);
-  f.mix_u64(m.queries_issued);
-  f.mix_u64(m.queries_succeeded);
-  f.mix_u64(m.queries_failed);
-  f.mix_u64(m.query_packets_originated);
-  f.mix_u64(m.query_transmissions);
-  f.mix_u64(m.server_lookup_hits);
-  f.mix_u64(m.server_lookup_misses);
-  f.mix_u64(m.rsu_lookup_hits);
-  f.mix_u64(m.rsu_lookup_misses);
-  f.mix_u64(m.notifications_sent);
-  f.mix_u64(m.acks_sent);
-  f.mix_u64(m.radio_broadcasts);
-  f.mix_u64(m.radio_unicasts);
-  f.mix_u64(m.radio_drops);
-  f.mix_u64(m.wired_messages);
-  f.mix_u64(m.gpsr_failures);
+  mix_group(f, m, DigestGroup::kCore);
   f.mix_u64(m.channel.total_offered());
   f.mix_u64(m.channel.total_delivered());
   f.mix_u64(m.channel.total_dropped());
   f.mix_u64(m.query_latency.count());
   f.mix_double(m.query_latency.mean_ms());
-  // Fault accounting joins the digest only when a fault schedule is active:
-  // a zero-fault run must hash byte-identically to a fault-unaware build.
+  // The gated groups join only when their subsystem ran, so zero-fault and
+  // zero-churn runs hash byte-identically to builds without them. The fault
+  // gate leads its group's bytes.
   if (m.fault_plan_digest != 0) {
     f.mix_u64(m.fault_plan_digest);
-    f.mix_u64(m.wired_drops);
-    f.mix_u64(m.rsu_suppressed);
-    f.mix_u64(m.query_retries);
-    f.mix_u64(m.query_failovers);
+    mix_group(f, m, DigestGroup::kFault, &RunMetrics::fault_plan_digest);
   }
-  // Same gating idea for infrastructure churn: the counter block only joins
-  // the hash when a ChurnManager was constructed, so zero-churn runs stay
-  // byte-identical to pre-churn builds.
-  if (m.churn_active != 0) {
-    f.mix_u64(m.role_departures);
-    f.mix_u64(m.role_elections);
-    f.mix_u64(m.role_vacancies);
-    f.mix_u64(m.role_fills);
-    f.mix_u64(m.handoffs_sent);
-    f.mix_u64(m.handoffs_delivered);
-    f.mix_u64(m.handoffs_lost);
-    f.mix_u64(m.handoff_records_sent);
-    f.mix_u64(m.handoff_records_delivered);
-    f.mix_u64(m.handoff_records_expired);
-    f.mix_u64(m.handoff_records_in_flight);
-    f.mix_u64(m.records_at_departure);
-  }
+  if (m.churn_active != 0) mix_group(f, m, DigestGroup::kChurn);
 }
 
 // Tables are hashed through snapshot() — the canonical key-sorted view —

@@ -8,19 +8,7 @@
 namespace hlsrg {
 
 void RegionCounters::merge(const RegionCounters& other) {
-  radio_broadcasts += other.radio_broadcasts;
-  radio_unicasts += other.radio_unicasts;
-  radio_delivered += other.radio_delivered;
-  radio_dropped += other.radio_dropped;
-  wired_out += other.wired_out;
-  wired_in += other.wired_in;
-  wired_dropped += other.wired_dropped;
-  updates += other.updates;
-  queries_served += other.queries_served;
-  cache_hits += other.cache_hits;
-  queries_shed += other.queries_shed;
-  role_migrations += other.role_migrations;
-  handoff_records += other.handoff_records;
+  merge_counters(*this, other, kRegionCounterFields);
 }
 
 RegionTelemetry::RegionTelemetry(std::vector<double> x_edges,
@@ -145,19 +133,9 @@ JsonValue RegionTelemetry::to_json() const {
       region.set("id", r * cols_ + c);
       region.set("col", c);
       region.set("row", r);
-      region.set("radio_broadcasts", cnt.radio_broadcasts);
-      region.set("radio_unicasts", cnt.radio_unicasts);
-      region.set("radio_delivered", cnt.radio_delivered);
-      region.set("radio_dropped", cnt.radio_dropped);
-      region.set("wired_out", cnt.wired_out);
-      region.set("wired_in", cnt.wired_in);
-      region.set("wired_dropped", cnt.wired_dropped);
-      region.set("updates", cnt.updates);
-      region.set("queries_served", cnt.queries_served);
-      region.set("cache_hits", cnt.cache_hits);
-      region.set("queries_shed", cnt.queries_shed);
-      region.set("role_migrations", cnt.role_migrations);
-      region.set("handoff_records", cnt.handoff_records);
+      for (const auto& f : kRegionCounterFields) {
+        region.set(f.name, cnt.*f.member);
+      }
       region.set("load", cnt.load());
       regions.push_back(std::move(region));
     }

@@ -38,27 +38,34 @@
 #include "geom/vec2.h"
 #include "report/json.h"
 #include "util/check.h"
+#include "util/counter_fields.h"
 
 namespace hlsrg {
 
 class PhaseProfiler;
 
-// Per-region counter block. All counters are recorded at channel/protocol
-// decision time (see the header comment for the exact laws).
+// Per-region counters, named once: X(name, merge rule). The list expands
+// into RegionCounters' members, in this order, and into kRegionCounterFields,
+// which drives RegionCounters::merge and the `regions[]` JSON keys. All are
+// recorded at channel/protocol decision time (see the header comment for the
+// exact laws).
+#define HLSRG_REGION_COUNTERS(X)                                              \
+  X(radio_broadcasts, kSum) /* broadcast transmissions from here */           \
+  X(radio_unicasts, kSum)   /* unicast attempts from here */                  \
+  X(radio_delivered, kSum)  /* receptions scheduled for nodes here */         \
+  X(radio_dropped, kSum)    /* channel losses at receivers here */            \
+  X(wired_out, kSum)        /* wired packets sent from here */                \
+  X(wired_in, kSum)         /* wired packets delivered here */                \
+  X(wired_dropped, kSum)    /* wired sends from here with no path */          \
+  X(updates, kSum)          /* update packets originated here */              \
+  X(queries_served, kSum)   /* location-table lookup hits here */             \
+  X(cache_hits, kSum)       /* service-tier cache answers here */             \
+  X(queries_shed, kSum)     /* admissions refused for sources here */         \
+  X(role_migrations, kSum)  /* role hosts elected/filled here */              \
+  X(handoff_records, kSum)  /* handoff records delivered here */
+
 struct RegionCounters {
-  std::uint64_t radio_broadcasts = 0;  // broadcast transmissions from here
-  std::uint64_t radio_unicasts = 0;    // unicast attempts from here
-  std::uint64_t radio_delivered = 0;   // receptions scheduled for nodes here
-  std::uint64_t radio_dropped = 0;     // channel losses at receivers here
-  std::uint64_t wired_out = 0;         // wired packets sent from here
-  std::uint64_t wired_in = 0;          // wired packets delivered here
-  std::uint64_t wired_dropped = 0;     // wired sends from here with no path
-  std::uint64_t updates = 0;           // update packets originated here
-  std::uint64_t queries_served = 0;    // location-table lookup hits here
-  std::uint64_t cache_hits = 0;        // service-tier cache answers here
-  std::uint64_t queries_shed = 0;      // admissions refused for sources here
-  std::uint64_t role_migrations = 0;   // role hosts elected/filled here
-  std::uint64_t handoff_records = 0;   // handoff records delivered here
+  HLSRG_REGION_COUNTERS(HLSRG_COUNTER_MEMBER)
 
   // Deliveries a region's nodes had to handle — the load measure behind the
   // imbalance summary (radio receptions + wired arrivals).
@@ -68,6 +75,12 @@ struct RegionCounters {
 
   void merge(const RegionCounters& other);
 };
+
+#define HLSRG_REGION_COUNTER_FIELD(name, merge) \
+  {#name, &RegionCounters::name, MergeRule::merge},
+inline constexpr CounterField<RegionCounters> kRegionCounterFields[] = {
+    HLSRG_REGION_COUNTERS(HLSRG_REGION_COUNTER_FIELD)};
+#undef HLSRG_REGION_COUNTER_FIELD
 
 class RegionTelemetry {
  public:

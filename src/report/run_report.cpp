@@ -253,120 +253,16 @@ void scenario_from_json(const JsonValue& v, ScenarioConfig* cfg) {
 
 JsonValue metrics_to_json(const RunMetrics& m) {
   JsonValue o = JsonValue::object();
-  o.set("update_packets_originated", m.update_packets_originated);
-  o.set("update_transmissions", m.update_transmissions);
-  o.set("aggregation_packets", m.aggregation_packets);
-  o.set("aggregation_transmissions", m.aggregation_transmissions);
-  o.set("queries_issued", m.queries_issued);
-  o.set("queries_succeeded", m.queries_succeeded);
-  o.set("queries_failed", m.queries_failed);
-  o.set("query_packets_originated", m.query_packets_originated);
-  o.set("query_transmissions", m.query_transmissions);
-  o.set("server_lookup_hits", m.server_lookup_hits);
-  o.set("server_lookup_misses", m.server_lookup_misses);
-  o.set("rsu_lookup_hits", m.rsu_lookup_hits);
-  o.set("rsu_lookup_misses", m.rsu_lookup_misses);
-  o.set("notifications_sent", m.notifications_sent);
-  o.set("acks_sent", m.acks_sent);
-  o.set("radio_broadcasts", m.radio_broadcasts);
-  o.set("radio_unicasts", m.radio_unicasts);
-  o.set("radio_drops", m.radio_drops);
-  o.set("wired_messages", m.wired_messages);
-  o.set("gpsr_failures", m.gpsr_failures);
-  o.set("wired_drops", m.wired_drops);
-  o.set("rsu_suppressed", m.rsu_suppressed);
-  o.set("query_retries", m.query_retries);
-  o.set("query_failovers", m.query_failovers);
-  o.set("queries_stranded", m.queries_stranded);
-  o.set("fault_queries_issued", m.fault_queries_issued);
-  o.set("fault_queries_ok", m.fault_queries_ok);
-  o.set("recovery_time_us", m.recovery_time_us);
-  o.set("recovery_windows", m.recovery_windows);
-  o.set("fault_plan_digest", m.fault_plan_digest);
-  o.set("queries_offered", m.queries_offered);
-  o.set("queries_shed", m.queries_shed);
-  o.set("retries_shed", m.retries_shed);
-  o.set("cache_hits", m.cache_hits);
-  o.set("cache_misses", m.cache_misses);
-  o.set("cache_invalidations", m.cache_invalidations);
-  o.set("batched_queries", m.batched_queries);
-  o.set("batch_flushes", m.batch_flushes);
-  o.set("peak_outstanding", m.peak_outstanding);
-  o.set("role_departures", m.role_departures);
-  o.set("role_elections", m.role_elections);
-  o.set("role_vacancies", m.role_vacancies);
-  o.set("role_fills", m.role_fills);
-  o.set("handoffs_sent", m.handoffs_sent);
-  o.set("handoffs_delivered", m.handoffs_delivered);
-  o.set("handoffs_lost", m.handoffs_lost);
-  o.set("handoff_records_sent", m.handoff_records_sent);
-  o.set("handoff_records_delivered", m.handoff_records_delivered);
-  o.set("handoff_records_expired", m.handoff_records_expired);
-  o.set("handoff_records_in_flight", m.handoff_records_in_flight);
-  o.set("records_at_departure", m.records_at_departure);
-  o.set("churn_active", m.churn_active);
+  for (const RunMetricsField& f : kRunMetricsFields) o.set(f.name, m.*f.member);
   return o;
 }
 
 void metrics_from_json(const JsonValue& v, RunMetrics* m) {
-  m->update_packets_originated = v.at("update_packets_originated").as_uint64();
-  m->update_transmissions = v.at("update_transmissions").as_uint64();
-  m->aggregation_packets = v.at("aggregation_packets").as_uint64();
-  m->aggregation_transmissions = v.at("aggregation_transmissions").as_uint64();
-  m->queries_issued = v.at("queries_issued").as_uint64();
-  m->queries_succeeded = v.at("queries_succeeded").as_uint64();
-  m->queries_failed = v.at("queries_failed").as_uint64();
-  m->query_packets_originated = v.at("query_packets_originated").as_uint64();
-  m->query_transmissions = v.at("query_transmissions").as_uint64();
-  m->server_lookup_hits = v.at("server_lookup_hits").as_uint64();
-  m->server_lookup_misses = v.at("server_lookup_misses").as_uint64();
-  m->rsu_lookup_hits = v.at("rsu_lookup_hits").as_uint64();
-  m->rsu_lookup_misses = v.at("rsu_lookup_misses").as_uint64();
-  m->notifications_sent = v.at("notifications_sent").as_uint64();
-  m->acks_sent = v.at("acks_sent").as_uint64();
-  m->radio_broadcasts = v.at("radio_broadcasts").as_uint64();
-  m->radio_unicasts = v.at("radio_unicasts").as_uint64();
-  m->radio_drops = v.at("radio_drops").as_uint64();
-  m->wired_messages = v.at("wired_messages").as_uint64();
-  m->gpsr_failures = v.at("gpsr_failures").as_uint64();
-  // Fault fields arrived after v1 reports shipped; absent in older files
-  // (at() yields null and the typed reads fall back to 0).
-  m->wired_drops = v.at("wired_drops").as_uint64();
-  m->rsu_suppressed = v.at("rsu_suppressed").as_uint64();
-  m->query_retries = v.at("query_retries").as_uint64();
-  m->query_failovers = v.at("query_failovers").as_uint64();
-  m->queries_stranded = v.at("queries_stranded").as_uint64();
-  m->fault_queries_issued = v.at("fault_queries_issued").as_uint64();
-  m->fault_queries_ok = v.at("fault_queries_ok").as_uint64();
-  m->recovery_time_us = v.at("recovery_time_us").as_uint64();
-  m->recovery_windows = v.at("recovery_windows").as_uint64();
-  m->fault_plan_digest = v.at("fault_plan_digest").as_uint64();
-  // Service-tier fields arrived after the fault fields; same null-fallback.
-  m->queries_offered = v.at("queries_offered").as_uint64();
-  m->queries_shed = v.at("queries_shed").as_uint64();
-  m->retries_shed = v.at("retries_shed").as_uint64();
-  m->cache_hits = v.at("cache_hits").as_uint64();
-  m->cache_misses = v.at("cache_misses").as_uint64();
-  m->cache_invalidations = v.at("cache_invalidations").as_uint64();
-  m->batched_queries = v.at("batched_queries").as_uint64();
-  m->batch_flushes = v.at("batch_flushes").as_uint64();
-  m->peak_outstanding = v.at("peak_outstanding").as_uint64();
-  // Churn fields arrived after the service-tier fields; same null-fallback.
-  m->role_departures = v.at("role_departures").as_uint64();
-  m->role_elections = v.at("role_elections").as_uint64();
-  m->role_vacancies = v.at("role_vacancies").as_uint64();
-  m->role_fills = v.at("role_fills").as_uint64();
-  m->handoffs_sent = v.at("handoffs_sent").as_uint64();
-  m->handoffs_delivered = v.at("handoffs_delivered").as_uint64();
-  m->handoffs_lost = v.at("handoffs_lost").as_uint64();
-  m->handoff_records_sent = v.at("handoff_records_sent").as_uint64();
-  m->handoff_records_delivered =
-      v.at("handoff_records_delivered").as_uint64();
-  m->handoff_records_expired = v.at("handoff_records_expired").as_uint64();
-  m->handoff_records_in_flight =
-      v.at("handoff_records_in_flight").as_uint64();
-  m->records_at_departure = v.at("records_at_departure").as_uint64();
-  m->churn_active = v.at("churn_active").as_uint64();
+  // Counters added after v1 reports shipped (fault, service tier, churn) are
+  // absent in older files: at() yields null and as_uint64() falls back to 0.
+  for (const RunMetricsField& f : kRunMetricsFields) {
+    m->*f.member = v.at(f.name).as_uint64();
+  }
 }
 
 JsonValue latency_to_json(const LatencySummary& l) {

@@ -8,11 +8,11 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.h"
 #include "util/check.h"
+#include "util/counter_fields.h"
 
 namespace hlsrg {
 
@@ -151,100 +151,116 @@ struct EngineStats {
   void merge(const EngineStats& other);
 };
 
-// All metrics for one simulation run. Semantics:
+// Determinism-digest group of a RunMetrics counter (harness/digest.cpp).
+// kCore counters are always hashed; kFault counters only when
+// fault_plan_digest != 0 and kChurn counters only when churn_active != 0, so
+// runs without faults or churn hash byte-identically to builds that predate
+// those subsystems; kNone counters are never hashed.
+enum class DigestGroup : std::uint8_t { kCore, kFault, kChurn, kNone };
+
+// Every RunMetrics counter, named once: X(name, merge rule, digest group).
+// The list expands into RunMetrics' std::uint64_t members, in this order, and
+// into kRunMetricsFields, which drives RunMetrics::merge, the run-report JSON
+// write and parse, and the determinism digest. Each group is hashed in list
+// order, so moving or regrouping an entry changes digests.
+//
+// Adding a counter is one line here: pick kSum (or kMax for a high-water
+// mark or a run-wide marker) and kNone, unless the change is meant to shift
+// the digests of every run (kCore) or of fault / churn runs.
+//
+// Semantics:
 //   *_originated : packets created by their source (what the paper counts as
 //                  "number of location update packets").
 //   *_transmissions : every radio transmission, including forwards/rebroadcasts
 //                  (overhead in airtime terms).
+#define HLSRG_RUN_METRICS(X)                                                  \
+  /* --- location update traffic --- */                                       \
+  X(update_packets_originated, kSum, kCore)                                   \
+  X(update_transmissions, kSum, kCore)                                        \
+  /* Hierarchy maintenance: L1 table handoffs/pushes, L2->L3 merges           \
+     (HLSRG); leader->LSC aggregation (RLSMP). */                             \
+  X(aggregation_packets, kSum, kCore)                                         \
+  X(aggregation_transmissions, kSum, kCore)                                   \
+  /* --- query traffic --- */                                                 \
+  X(queries_issued, kSum, kCore)                                              \
+  X(queries_succeeded, kSum, kCore)                                           \
+  X(queries_failed, kSum, kCore)                                              \
+  X(query_packets_originated, kSum, kCore) /* request + notif. + ACK */       \
+  X(query_transmissions, kSum, kCore)      /* all hops of the above */        \
+  /* --- protocol-event accounting (diagnosis + tests) --- */                 \
+  X(server_lookup_hits, kSum, kCore)   /* L1 center / LSC table hit */        \
+  X(server_lookup_misses, kSum, kCore) /* ... miss (up / spiral) */           \
+  X(rsu_lookup_hits, kSum, kCore)      /* L2/L3 RSU table hit */              \
+  X(rsu_lookup_misses, kSum, kCore)                                           \
+  X(notifications_sent, kSum, kCore) /* geocasts toward Dv */                 \
+  X(acks_sent, kSum, kCore)          /* Dv answered */                        \
+  /* --- radio-level accounting --- */                                        \
+  X(radio_broadcasts, kSum, kCore) /* one-hop broadcast transmissions */      \
+  X(radio_unicasts, kSum, kCore)   /* GPSR hop transmissions */               \
+  X(radio_drops, kSum, kCore)      /* receptions lost to the channel */       \
+  X(wired_messages, kSum, kCore)   /* RSU backhaul messages */                \
+  X(gpsr_failures, kSum, kCore)    /* unicast abandoned (no route) */         \
+  /* --- fault + degradation accounting (src/fault) --- */                    \
+  /* wired sends lost: no path, cut link, or down endpoint */                 \
+  X(wired_drops, kSum, kFault)                                                \
+  X(rsu_suppressed, kSum, kFault) /* packets arriving at a crashed RSU */     \
+  X(query_retries, kSum, kFault)  /* request re-issues (attempt > 1) */       \
+  /* sends escalated around a dead component (RSU / wired path) */            \
+  X(query_failovers, kSum, kFault)                                            \
+  X(queries_stranded, kSum, kNone)     /* unsettled at the run horizon */     \
+  X(fault_queries_issued, kSum, kNone) /* issued during a fault window */     \
+  X(fault_queries_ok, kSum, kNone)     /* ... of those, succeeded */          \
+  /* sum of fault-clear -> first-success gaps over recovered windows */       \
+  X(recovery_time_us, kSum, kNone)                                            \
+  /* finite fault windows with a post-clearance success */                    \
+  X(recovery_windows, kSum, kNone)                                            \
+  /* FNV digest of the active fault schedule; 0 = no faults scheduled. Gates  \
+     the kFault group. Replicas of one sweep share a plan, so the merge       \
+     keeps the (common) nonzero digest. */                                    \
+  X(fault_plan_digest, kMax, kFault)                                          \
+  /* --- service-tier accounting (src/service) --- */                         \
+  X(queries_offered, kSum, kNone) /* submissions seen by QueryAdmission */    \
+  X(queries_shed, kSum, kNone)    /* new queries refused under overload */    \
+  /* retry attempts refused (the query then fails, never hangs silently) */   \
+  X(retries_shed, kSum, kNone)                                                \
+  X(cache_hits, kSum, kNone)   /* RSU hot-destination cache answered */       \
+  X(cache_misses, kSum, kNone) /* cache probed, no fresh entry */             \
+  X(cache_invalidations, kSum, kNone) /* evicted by fresher update */         \
+  X(batched_queries, kSum, kNone)     /* queries that rode a batch flush */   \
+  X(batch_flushes, kSum, kNone)       /* wired batch lookups sent */          \
+  /* unsettled-query high-water mark; replicas run in separate worlds, so     \
+     the fleet-wide peak is the worst one */                                  \
+  X(peak_outstanding, kMax, kNone)                                            \
+  /* --- infrastructure-churn accounting (parked-cars-as-RSUs, src/core) ---  \
+     Record conservation law (ChurnAuditor):                                  \
+       records_at_departure == handoff_records_delivered                      \
+                               + handoff_records_expired                      \
+                               + handoff_records_in_flight                    \
+     holds at every instant — in-flight records settle when their handoff     \
+     packet is delivered (merged), suppressed at a crashed receiver, or lost  \
+     after MAC retries. Role law: role_departures == role_elections +         \
+     role_vacancies. */                                                       \
+  X(role_departures, kSum, kChurn) /* hosts that left an L2/L3 role */        \
+  X(role_elections, kSum, kChurn)  /* successor bound at departure time */    \
+  X(role_vacancies, kSum, kChurn)  /* departures that left the role down */   \
+  X(role_fills, kSum, kChurn)      /* vacant roles re-staffed later */        \
+  X(handoffs_sent, kSum, kChurn)   /* kRoleHandoff packets sent */            \
+  X(handoffs_delivered, kSum, kChurn) /* ... merged by the receiver */        \
+  X(handoffs_lost, kSum, kChurn) /* ... lost / suppressed / unreachable */    \
+  X(handoff_records_sent, kSum, kChurn) /* records riding a handoff */        \
+  X(handoff_records_delivered, kSum, kChurn) /* ... merged at receiver */     \
+  /* records ledger-accounted as expired (abrupt departure, lost packet,      \
+     no absorber) */                                                          \
+  X(handoff_records_expired, kSum, kChurn)                                    \
+  X(handoff_records_in_flight, kSum, kChurn) /* gauge: sent, unsettled */     \
+  X(records_at_departure, kSum, kChurn) /* records held by leaving hosts */   \
+  /* Nonzero when the churn subsystem ran (ChurnManager constructed). Gates   \
+     the kChurn group; a common marker across replicas of one sweep. */       \
+  X(churn_active, kMax, kNone)
+
+// All metrics for one simulation run.
 struct RunMetrics {
-  // --- location update traffic ---
-  std::uint64_t update_packets_originated = 0;
-  std::uint64_t update_transmissions = 0;
-  // Hierarchy maintenance: L1 table handoffs/pushes, L2->L3 merges (HLSRG);
-  // leader->LSC aggregation (RLSMP).
-  std::uint64_t aggregation_packets = 0;
-  std::uint64_t aggregation_transmissions = 0;
-
-  // --- query traffic ---
-  std::uint64_t queries_issued = 0;
-  std::uint64_t queries_succeeded = 0;
-  std::uint64_t queries_failed = 0;
-  std::uint64_t query_packets_originated = 0;  // request + notification + ACK
-  std::uint64_t query_transmissions = 0;       // all hops of the above
-
-  // --- protocol-event accounting (diagnosis + tests) ---
-  std::uint64_t server_lookup_hits = 0;    // L1 center / LSC table hit
-  std::uint64_t server_lookup_misses = 0;  // ... miss (forwarded up / spiral)
-  std::uint64_t rsu_lookup_hits = 0;       // L2/L3 RSU table hit
-  std::uint64_t rsu_lookup_misses = 0;
-  std::uint64_t notifications_sent = 0;    // geocasts toward Dv
-  std::uint64_t acks_sent = 0;             // Dv answered
-
-  // --- radio-level accounting ---
-  std::uint64_t radio_broadcasts = 0;   // one-hop broadcast transmissions
-  std::uint64_t radio_unicasts = 0;     // GPSR hop transmissions
-  std::uint64_t radio_drops = 0;        // receptions lost to the channel
-  std::uint64_t wired_messages = 0;     // RSU backhaul messages
-  std::uint64_t gpsr_failures = 0;      // unicast abandoned (no route)
-
-  // --- fault + degradation accounting (src/fault) ---
-  std::uint64_t wired_drops = 0;        // wired sends lost: no path, cut
-                                        // link, or down endpoint
-  std::uint64_t rsu_suppressed = 0;     // packets arriving at a crashed RSU
-  std::uint64_t query_retries = 0;      // request re-issues (attempt > 1)
-  std::uint64_t query_failovers = 0;    // sends escalated around a dead
-                                        // component (RSU / wired path)
-  std::uint64_t queries_stranded = 0;   // unsettled at the run horizon
-  std::uint64_t fault_queries_issued = 0;  // issued during a fault window
-  std::uint64_t fault_queries_ok = 0;      // ... of those, succeeded
-  std::uint64_t recovery_time_us = 0;   // sum of fault-clear -> first-success
-                                        // gaps over recovered windows
-  std::uint64_t recovery_windows = 0;   // finite fault windows with a
-                                        // post-clearance success
-  // FNV digest of the active fault schedule; 0 = no faults scheduled. Folded
-  // into the determinism digest only when nonzero, so zero-fault runs stay
-  // byte-identical with fault-unaware builds.
-  std::uint64_t fault_plan_digest = 0;
-
-  // --- service-tier accounting (src/service) ---
-  std::uint64_t queries_offered = 0;    // submissions seen by QueryAdmission
-  std::uint64_t queries_shed = 0;       // new queries refused under overload
-  std::uint64_t retries_shed = 0;       // retry attempts refused (the query
-                                        // then fails, never hangs silently)
-  std::uint64_t cache_hits = 0;         // RSU hot-destination cache answered
-  std::uint64_t cache_misses = 0;       // cache probed, no fresh entry
-  std::uint64_t cache_invalidations = 0;  // entries evicted by fresher update
-  std::uint64_t batched_queries = 0;    // queries that rode a batch flush
-  std::uint64_t batch_flushes = 0;      // wired batch lookups sent
-  std::uint64_t peak_outstanding = 0;   // unsettled-query high-water mark
-
-  // --- infrastructure-churn accounting (parked-cars-as-RSUs, src/core) ---
-  // Record conservation law (ChurnAuditor):
-  //   records_at_departure == handoff_records_delivered
-  //                           + handoff_records_expired
-  //                           + handoff_records_in_flight
-  // holds at every instant — in-flight records settle when their handoff
-  // packet is delivered (merged), suppressed at a crashed receiver, or lost
-  // after MAC retries. Role law: role_departures == role_elections +
-  // role_vacancies.
-  std::uint64_t role_departures = 0;    // hosts that left an L2/L3 role
-  std::uint64_t role_elections = 0;     // successor bound at departure time
-  std::uint64_t role_vacancies = 0;     // departures that left the role down
-  std::uint64_t role_fills = 0;         // vacant roles re-staffed later
-  std::uint64_t handoffs_sent = 0;      // kRoleHandoff packets sent
-  std::uint64_t handoffs_delivered = 0; // ... merged by the receiver
-  std::uint64_t handoffs_lost = 0;      // ... lost / suppressed / unreachable
-  std::uint64_t handoff_records_sent = 0;       // records riding a handoff
-  std::uint64_t handoff_records_delivered = 0;  // ... merged at the receiver
-  std::uint64_t handoff_records_expired = 0;    // records ledger-accounted as
-                                                // expired (abrupt departure,
-                                                // lost packet, no absorber)
-  std::uint64_t handoff_records_in_flight = 0;  // gauge: sent, not settled
-  std::uint64_t records_at_departure = 0;       // records held by leaving hosts
-  // Nonzero when the churn subsystem ran (ChurnManager constructed). Gates
-  // the determinism-digest mix of the counters above so zero-churn runs stay
-  // byte-identical with churn-unaware builds (mirrors fault_plan_digest).
-  std::uint64_t churn_active = 0;
+  HLSRG_RUN_METRICS(HLSRG_COUNTER_MEMBER)
 
   // Per-kind channel conservation ledger (offered == delivered + dropped),
   // fed by the radio broadcast/unicast and wired paths that carry a Packet.
@@ -301,8 +317,16 @@ struct RunMetrics {
                : static_cast<double>(handoff_records_delivered) /
                      static_cast<double>(handoff_records_sent);
   }
-
-  [[nodiscard]] std::string summary() const;
 };
+
+struct RunMetricsField : CounterField<RunMetrics> {
+  DigestGroup group;
+};
+
+#define HLSRG_RUN_METRICS_FIELD(name, merge, group) \
+  {{#name, &RunMetrics::name, MergeRule::merge}, DigestGroup::group},
+inline constexpr RunMetricsField kRunMetricsFields[] = {
+    HLSRG_RUN_METRICS(HLSRG_RUN_METRICS_FIELD)};
+#undef HLSRG_RUN_METRICS_FIELD
 
 }  // namespace hlsrg

@@ -452,6 +452,41 @@ TEST(DigestTest, DetectsInjectedSeedReuse) {
   EXPECT_EQ(first_digest_mismatch(good.digests, buggy), 1u);
 }
 
+// The digest-group column of the RunMetrics field list decides what the
+// digest hashes. With both gates open, bumping a counter moves the digest
+// exactly when its group is mixed; with both closed, only kCore counts.
+TEST(DigestTest, CounterMovesDigestIffItsGroupIsMixed) {
+  World world(small_scenario(5), Protocol::kHlsrg);
+  world.run_until(SimTime::from_sec(30.0));
+  RunMetrics& m = world.sim().metrics();
+  const auto moves_digest = [&](std::uint64_t& counter) {
+    const std::uint64_t before = state_digest(world);
+    ++counter;
+    const bool moved = state_digest(world) != before;
+    --counter;
+    return moved;
+  };
+
+  m.fault_plan_digest = 0x5eed;
+  m.churn_active = 1;
+  for (const RunMetricsField& f : kRunMetricsFields) {
+    EXPECT_EQ(moves_digest(m.*f.member), f.group != DigestGroup::kNone)
+        << f.name;
+  }
+
+  m.fault_plan_digest = 0;
+  m.churn_active = 0;
+  for (const RunMetricsField& f : kRunMetricsFields) {
+    // Bumping a closed gate opens it, which moves the digest by design.
+    if (f.member == &RunMetrics::fault_plan_digest ||
+        f.member == &RunMetrics::churn_active) {
+      continue;
+    }
+    EXPECT_EQ(moves_digest(m.*f.member), f.group == DigestGroup::kCore)
+        << f.name;
+  }
+}
+
 TEST(DigestTest, MismatchReportsLengthDifference) {
   const std::vector<std::uint64_t> a{1, 2, 3};
   const std::vector<std::uint64_t> b{1, 2};

@@ -2,6 +2,11 @@
 // and the RunReport serializer round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "fault/fault_plan.h"
 #include "report/bench_report.h"
 #include "report/json.h"
@@ -80,28 +85,15 @@ TEST(JsonTest, ParseAcceptsWhitespaceAndNumbers) {
   EXPECT_DOUBLE_EQ(v->at("a").items()[1].as_double(), 0.0);
 }
 
+// Every counter gets a distinct value, so a field the writer or the parser
+// drops or swaps cannot go unnoticed.
 RunMetrics sample_metrics() {
   RunMetrics m;
-  m.update_packets_originated = 553;
-  m.update_transmissions = 1200;
-  m.aggregation_packets = 77;
-  m.aggregation_transmissions = 91;
-  m.queries_issued = 30;
-  m.queries_succeeded = 24;
-  m.queries_failed = 6;
-  m.query_packets_originated = 60;
-  m.query_transmissions = 2055;
-  m.server_lookup_hits = 18;
-  m.server_lookup_misses = 12;
-  m.rsu_lookup_hits = 9;
-  m.rsu_lookup_misses = 3;
-  m.notifications_sent = 24;
-  m.acks_sent = 24;
-  m.radio_broadcasts = 4000;
-  m.radio_unicasts = 900;
-  m.radio_drops = 55;
-  m.wired_messages = 140;
-  m.gpsr_failures = 4;
+  std::uint64_t value = 1000;
+  for (const RunMetricsField& f : kRunMetricsFields) {
+    m.*f.member = value;
+    value += 17;
+  }
   m.query_latency.add(SimTime::from_ms(120.0));
   m.query_latency.add(SimTime::from_ms(80.0));
   m.query_latency.add(SimTime::from_ms(500.0));
@@ -168,29 +160,12 @@ TEST(RunReportTest, JsonRoundTripFieldEquality) {
             cfg.hlsrg.suppress_artery_updates);
   EXPECT_EQ(back.config.hlsrg.l1_expiry, cfg.hlsrg.l1_expiry);
 
-  // Counters.
-  const RunMetrics& a = report.metrics;
-  const RunMetrics& b = back.metrics;
-  EXPECT_EQ(b.update_packets_originated, a.update_packets_originated);
-  EXPECT_EQ(b.update_transmissions, a.update_transmissions);
-  EXPECT_EQ(b.aggregation_packets, a.aggregation_packets);
-  EXPECT_EQ(b.aggregation_transmissions, a.aggregation_transmissions);
-  EXPECT_EQ(b.queries_issued, a.queries_issued);
-  EXPECT_EQ(b.queries_succeeded, a.queries_succeeded);
-  EXPECT_EQ(b.queries_failed, a.queries_failed);
-  EXPECT_EQ(b.query_packets_originated, a.query_packets_originated);
-  EXPECT_EQ(b.query_transmissions, a.query_transmissions);
-  EXPECT_EQ(b.server_lookup_hits, a.server_lookup_hits);
-  EXPECT_EQ(b.server_lookup_misses, a.server_lookup_misses);
-  EXPECT_EQ(b.rsu_lookup_hits, a.rsu_lookup_hits);
-  EXPECT_EQ(b.rsu_lookup_misses, a.rsu_lookup_misses);
-  EXPECT_EQ(b.notifications_sent, a.notifications_sent);
-  EXPECT_EQ(b.acks_sent, a.acks_sent);
-  EXPECT_EQ(b.radio_broadcasts, a.radio_broadcasts);
-  EXPECT_EQ(b.radio_unicasts, a.radio_unicasts);
-  EXPECT_EQ(b.radio_drops, a.radio_drops);
-  EXPECT_EQ(b.wired_messages, a.wired_messages);
-  EXPECT_EQ(b.gpsr_failures, a.gpsr_failures);
+  // Counters: every field of the list, each written under its own key.
+  EXPECT_EQ(metrics_to_json(report.metrics).size(),
+            std::size(kRunMetricsFields));
+  for (const RunMetricsField& f : kRunMetricsFields) {
+    EXPECT_EQ(back.metrics.*f.member, report.metrics.*f.member) << f.name;
+  }
 
   // Latency digest.
   EXPECT_EQ(back.latency.count, report.latency.count);
@@ -209,6 +184,35 @@ TEST(RunReportTest, JsonRoundTripFieldEquality) {
   EXPECT_DOUBLE_EQ(back.engine.wall_clock_sec, engine.wall_clock_sec);
   EXPECT_EQ(back.engine.peak_rss_bytes, engine.peak_rss_bytes);
   EXPECT_EQ(back.engine.table_bytes, engine.table_bytes);
+}
+
+TEST(RunMetricsTest, MergeAppliesEachFieldsRule) {
+  // Even fields merge a smaller value in, odd fields a larger one, so a sum
+  // or a max taken on the wrong side shows up either way.
+  RunMetrics a;
+  RunMetrics b;
+  std::uint64_t i = 0;
+  for (const RunMetricsField& f : kRunMetricsFields) {
+    a.*f.member = 100 + i;
+    b.*f.member = i % 2 == 0 ? 10 + i : 1000 + i;
+    ++i;
+  }
+  RunMetrics merged = a;
+  merged.merge(b);
+  std::vector<std::string> max_fields;
+  for (const RunMetricsField& f : kRunMetricsFields) {
+    const std::uint64_t x = a.*f.member;
+    const std::uint64_t y = b.*f.member;
+    if (f.merge == MergeRule::kMax) {
+      max_fields.emplace_back(f.name);
+      EXPECT_EQ(merged.*f.member, std::max(x, y)) << f.name;
+    } else {
+      EXPECT_EQ(merged.*f.member, x + y) << f.name;
+    }
+  }
+  EXPECT_EQ(max_fields, (std::vector<std::string>{
+                            "fault_plan_digest", "peak_outstanding",
+                            "churn_active"}));
 }
 
 TEST(RunReportTest, FromJsonRejectsMalformed) {
@@ -255,9 +259,10 @@ TEST(BenchReportTest, SectionsRowsAndResults) {
   EXPECT_EQ(first.at("protocol").as_string(), "HLSRG");
   EXPECT_EQ(first.at("replica_engine").size(), 2u);
   EXPECT_EQ(first.at("engine").at("events_processed").as_uint64(), 40u);
-  // Merged-over-2-replicas derived value: 553 update packets / 2.
-  EXPECT_DOUBLE_EQ(first.at("derived").at("update_overhead").as_double(),
-                   553.0 / 2.0);
+  // Merged-over-2-replicas derived value: update packets / 2.
+  EXPECT_DOUBLE_EQ(
+      first.at("derived").at("update_overhead").as_double(),
+      static_cast<double>(set.merged.update_packets_originated) / 2.0);
 
   // The whole document survives a text round trip.
   const auto parsed = JsonValue::parse(doc.dump(2));

@@ -370,17 +370,6 @@ TEST(RunMetricsTest, SuccessRate) {
   EXPECT_DOUBLE_EQ(m.success_rate(), 0.75);
 }
 
-TEST(RunMetricsTest, SummaryMentionsKeyCounters) {
-  RunMetrics m;
-  m.update_packets_originated = 12;
-  m.queries_issued = 3;
-  m.queries_succeeded = 2;
-  const std::string s = m.summary();
-  EXPECT_NE(s.find("updates=12"), std::string::npos);
-  EXPECT_NE(s.find("queries=3"), std::string::npos);
-  EXPECT_NE(s.find("ok=2"), std::string::npos);
-}
-
 TEST(EventQueueTest, RunOneOnEmptyReturnsFalse) {
   EventQueue q;
   EXPECT_FALSE(q.run_one());

@@ -37,15 +37,8 @@ in the contiguous comment block immediately above it. The reason is
 mandatory; an ALLOW with an unknown rule id or an empty reason is itself a
 finding (bad-allow), so every suppression in the tree stays auditable.
 
-Frontends:
-  textual   (default) zero-dependency tokenizer over comment/string-blanked
-            source. Deterministic, fixture-tested in ctest, and the frontend
-            CI gates on.
-  libclang  AST-accurate pass via clang.cindex when the libclang Python
-            bindings and shared library are installed (pip install libclang).
-            Same rules, type-resolved matching — catches aliased container
-            types the textual frontend can only see through local `using`
-            declarations. Advisory until pinned in CI.
+The engine is a zero-dependency tokenizer over comment/string-blanked
+source: deterministic, fixture-tested in ctest, and the gate CI runs.
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -588,56 +581,6 @@ def gather_sources(root: str, paths):
     return sorted(set(r.replace(os.sep, "/") for r in rels))
 
 
-def run_libclang(root, rels, linter):
-    """AST-accurate pass: re-checks unordered iteration and pointer keys with
-    resolved types. Additive — textual findings stay; this catches what text
-    cannot (aliases across headers, auto-deduced range types)."""
-    try:
-        from clang import cindex  # noqa: PLC0415
-    except ImportError as e:
-        raise RuntimeError(
-            "libclang frontend requested but clang.cindex is not importable "
-            f"({e}); pip install libclang, or use --frontend=textual") from e
-    index = cindex.Index.create()
-    args = ["-std=c++20", "-I", os.path.join(root, "src")]
-    seen = {f.key() for f in linter.findings}
-    for rel in rels:
-        if not rel.endswith((".cc", ".cpp", ".cxx")):
-            continue
-        tu = index.parse(os.path.join(root, rel), args=args)
-        sf = load_file(root, rel)
-        for cur in tu.cursor.walk_preorder():
-            if cur.location.file is None:
-                continue
-            cur_rel = os.path.relpath(cur.location.file.name, root)
-            if cur_rel != rel:
-                continue
-            if cur.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT and \
-                    linter.in_digest_scope(rel):
-                children = list(cur.get_children())
-                if not children:
-                    continue
-                range_init = children[-2] if len(children) >= 2 else None
-                type_spelling = (range_init.type.spelling
-                                 if range_init is not None else "")
-                tokens = " ".join(t.spelling for t in cur.get_tokens())
-                if any(t in type_spelling for t in UNORDERED_TYPES) and \
-                        "sorted_view" not in tokens and \
-                        "sorted_keys" not in tokens:
-                    f = Finding("unordered-iteration", rel.replace(os.sep, "/"),
-                                cur.location.line,
-                                f"[libclang] range-for over {type_spelling}")
-                    if f.key() in seen:
-                        continue
-                    reason = linter.allow_reason(sf, f.line,
-                                                 "unordered-iteration")
-                    if reason is not None:
-                        f.suppressed, f.reason = True, reason
-                    linter.findings.append(f)
-                    seen.add(f.key())
-    return True
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("paths", nargs="*", default=None,
@@ -645,8 +588,6 @@ def main(argv=None):
     ap.add_argument("--repo-root", default=None,
                     help="repository root (default: two levels up from this "
                          "script)")
-    ap.add_argument("--frontend", choices=("textual", "libclang"),
-                    default="textual")
     ap.add_argument("--report", metavar="OUT.json",
                     help="write a machine-readable findings report")
     ap.add_argument("--all-rules-everywhere", action="store_true",
@@ -672,15 +613,12 @@ def main(argv=None):
     linter = Linter(root, force_digest_scope=args.all_rules_everywhere)
     for rel in rels:
         linter.lint_file(rel)
-    if args.frontend == "libclang":
-        run_libclang(root, rels, linter)
 
     active = [f for f in linter.findings if not f.suppressed]
     suppressed = [f for f in linter.findings if f.suppressed]
     if args.report:
         doc = {
             "schema": "hlsrg-determinism-lint/v1",
-            "frontend": args.frontend,
             "files_scanned": len(rels),
             "findings": [dataclasses.asdict(f) for f in active],
             "suppressed": [dataclasses.asdict(f) for f in suppressed],
