@@ -105,14 +105,16 @@ class World {
   // protocol agent reacts to a movement callback the registry already holds
   // the pose the old pull-through-callback model would have returned:
   //  - on_moved pushes the end-of-tick pose, velocity, and region, then
-  //    bumps the position generation (one bump per move, as before) —
-  //    without the bump a neighbor index built earlier in the same
-  //    timestamp (agents broadcast from inside the movement listeners,
+  //    bumps the position generation (one bump per move). The neighbor
+  //    index keys its rebuild on that generation alone, so this bump is
+  //    what makes the move visible to radio queries: without it a build
+  //    taken earlier (agents broadcast from inside the movement listeners,
   //    mid-tick) would be reused, stale, by everything ordered after the
-  //    write.
+  //    write, at this timestamp and every later one.
   //  - on_intersection_pass pushes the mid-advance stop-line pose WITHOUT a
-  //    bump: the pull model exposed that pose to the update rules while
-  //    leaving cached neighbor sets alone, and digests pin that behavior.
+  //    bump: the update rules and the sender's own position read it at
+  //    once, while cached neighbor sets keep the last bumped pose until the
+  //    same vehicle's on_moved, later in the tick, bumps.
   //  - the parking callbacks keep the parked flag and velocity in sync
   //    (positions do not change while parked).
   class PoseSyncBridge final : public MovementListener {

@@ -22,9 +22,9 @@ std::vector<NodeId>& NeighborIndex::cell_nodes_mut(std::uint64_t key) {
   return cells_[slot];
 }
 
-void NeighborIndex::refresh(SimTime now, PhaseProfiler* profiler) {
+void NeighborIndex::refresh(SimTime /*now*/, PhaseProfiler* profiler) {
   const std::uint64_t generation = registry_->position_generation();
-  if (built_at_ == now && built_generation_ == generation &&
+  if (built_generation_ == generation &&
       cached_pos_.size() == registry_->count()) {
     return;
   }
@@ -35,7 +35,6 @@ void NeighborIndex::refresh(SimTime now, PhaseProfiler* profiler) {
   } else {
     rebuild_full();
   }
-  built_at_ = now;
   built_generation_ = generation;
 }
 

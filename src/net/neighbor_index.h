@@ -2,12 +2,13 @@
 //
 // Cell size equals the radio range, so a range query touches at most the
 // 3x3 cell block around the query point. The index is rebuilt lazily, keyed
-// on (SimTime, registry position generation): node positions change when the
-// mobility model ticks (which advances the clock) or when a mutator bumps
-// the registry's position generation without advancing it (fault window
-// edges), so a build tagged with both stays valid for every query under that
-// key. Rebuilds are incremental — only nodes whose cell changed move between
-// cell lists — and the cell table is an open-addressing flat map
+// on the registry's position generation and node count alone. Positions are
+// pushed into the registry, and every write batch that should become visible
+// bumps the generation (the world's pose bridge bumps on each on_moved), so
+// a build stays valid until the next bump however far the clock advances;
+// broadcasts between two mobility ticks share one build and its cached
+// densities. Rebuilds are incremental — only nodes whose cell changed move
+// between cell lists — and the cell table is an open-addressing flat map
 // (util/flat_table.h) instead of an unordered_map.
 //
 // Receiver-side contention density is served from a per-node cache filled
@@ -42,9 +43,12 @@ class NeighborIndex {
       : registry_(&registry), cell_(cell_size),
         saturation_(density_saturation) {}
 
-  // Ensures the index reflects positions as of `now` and the registry's
-  // current position generation. A non-null profiler times the rebuild path
-  // (the cheap staleness check is never profiled).
+  // Ensures the index reflects the registry's positions as of its current
+  // position generation: rebuilds only when the generation or the node count
+  // changed since the last build. `now` does not affect the result (a write
+  // without a bump stays invisible however far the clock advances); it is
+  // kept so callers that pass the clock keep compiling. A non-null profiler
+  // times the rebuild path (the cheap staleness check is never profiled).
   void refresh(SimTime now, PhaseProfiler* profiler = nullptr);
 
   // Appends all nodes within `radius` of `p` (excluding `exclude` if valid)
@@ -117,7 +121,6 @@ class NeighborIndex {
   std::vector<std::uint64_t> density_stamp_;
   std::uint64_t stamp_ = 0;
 
-  SimTime built_at_ = SimTime::from_us(-1);
   std::uint64_t built_generation_ = ~std::uint64_t{0};
 };
 

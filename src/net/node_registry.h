@@ -43,9 +43,8 @@ class NodeRegistry {
 
   // Pushes a new pose. Deliberately does NOT bump the position generation:
   // the pose bridge decides when a write batch invalidates cached neighbor
-  // sets (it bumps on on_moved, and only there — mid-advance intersection
-  // poses become visible without a bump, exactly as the old pull-through-
-  // callback model behaved).
+  // sets (it bumps on on_moved, and only there). position() returns the
+  // write at once; the neighbor index sees it only after the next bump.
   void set_position(NodeId id, Vec2 position) {
     positions_[id.index()] = position;
   }
@@ -58,11 +57,12 @@ class NodeRegistry {
     return sinks_[id.index()];
   }
 
-  // Position writes are batched by the mobility tick; mutators (the pose
-  // bridge, fault window edges) bump this generation to invalidate
-  // consumers that cache positions — the neighbor index keys its rebuild on
-  // it, so a position change that does not advance the clock still
-  // invalidates the cache.
+  // Position writes are batched by the mobility tick; the mutator (the
+  // pose bridge) bumps this generation to invalidate consumers that cache
+  // positions. The neighbor index keys its rebuild on it alone (plus the
+  // node count): a bumped write is visible to the next query even at the
+  // same timestamp, and an unbumped one stays invisible however far the
+  // clock advances.
   void bump_position_generation() { ++position_generation_; }
   [[nodiscard]] std::uint64_t position_generation() const {
     return position_generation_;

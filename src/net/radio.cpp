@@ -48,66 +48,8 @@ int RadioMedium::density_at(NodeId rx) {
   return index_.local_density(rx);
 }
 
-void RadioMedium::deliver(NodeId to, std::shared_ptr<const Packet> pkt,
-                          NodeId from, SimTime delay, SpanId ctx,
-                          SpanId span_to_end, std::int32_t value) {
-  sim_->schedule_after(delay, [this, to, pkt = std::move(pkt), from, ctx,
-                               span_to_end, value] {
-    sim_->end_span(span_to_end, SpanStatus::kOk, registry_->position(to),
-                   value);
-    SpanScope scope(*sim_, ctx);
-    if (PacketSink* sink = registry_->sink(to)) sink->on_receive(*pkt, from);
-  });
-}
-
-int RadioMedium::broadcast(NodeId sender, const Packet& pkt) {
-  ProfileScope profile(sim_->profiler(), "radio_broadcast");
-  index_.refresh(sim_->now(), sim_->profiler());
-  scratch_.clear();
-  density_scratch_.clear();
-  const Vec2 sp = registry_->position(sender);
-  if (reference_density_) {
-    index_.query(sp, cfg_.range_m, sender, &scratch_);
-    for (NodeId rx : scratch_) density_scratch_.push_back(density_at(rx));
-  } else {
-    index_.query_with_density(sp, cfg_.range_m, sender, &scratch_,
-                              &density_scratch_);
-  }
-  sim_->metrics().radio_broadcasts++;
-  RegionTelemetry* regions = sim_->regions();
-  if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_broadcasts;
-  const SimTime delay = hop_delay();
-  const int kind = static_cast<int>(pkt.kind);
-  const SpanId ctx = sim_->active_span();
-  // One immutable copy shared by every surviving receiver's delivery
-  // closure; the per-delivery state is just (to, from, ctx).
-  std::shared_ptr<const Packet> shared;
-  for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    const NodeId rx = scratch_[i];
-    sim_->metrics().channel.add_offered(kind);
-    const Vec2 rp = registry_->position(rx);
-    if (sim_->radio_rng().chance(
-            loss_probability(distance(sp, rp), density_scratch_[i], rp))) {
-      sim_->metrics().radio_drops++;
-      sim_->metrics().channel.add_dropped(kind);
-      if (regions != nullptr) {
-        ++regions->at(regions->region_of(rp)).radio_dropped;
-      }
-      continue;
-    }
-    sim_->metrics().channel.add_delivered(kind);
-    if (regions != nullptr) {
-      ++regions->at(regions->region_of(rp)).radio_delivered;
-    }
-    if (shared == nullptr) shared = std::make_shared<const Packet>(pkt);
-    deliver(rx, shared, sender, delay, ctx);
-  }
-  return static_cast<int>(scratch_.size());
-}
-
-int RadioMedium::broadcast_each(NodeId sender, PacketKind pkt_kind,
-                                std::function<void(NodeId)> on_deliver) {
-  HLSRG_CHECK(on_deliver != nullptr);
+template <typename Deliver>
+int RadioMedium::fan_out(NodeId sender, PacketKind pkt_kind, Deliver deliver) {
   ProfileScope profile(sim_->profiler(), "radio_broadcast");
   index_.refresh(sim_->now(), sim_->profiler());
   scratch_.clear();
@@ -125,9 +67,9 @@ int RadioMedium::broadcast_each(NodeId sender, PacketKind pkt_kind,
   if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_broadcasts;
   const SimTime delay = hop_delay();
   const int kind = static_cast<int>(pkt_kind);
-  const SpanId ctx = sim_->active_span();
-  auto shared_deliver =
-      std::make_shared<std::function<void(NodeId)>>(std::move(on_deliver));
+  // Survivors are owned by the fan-out event: receiver handlers broadcast
+  // again and reuse scratch_ before the walk is over.
+  std::vector<NodeId> survivors;
   for (std::size_t i = 0; i < scratch_.size(); ++i) {
     const NodeId rx = scratch_[i];
     sim_->metrics().channel.add_offered(kind);
@@ -145,12 +87,37 @@ int RadioMedium::broadcast_each(NodeId sender, PacketKind pkt_kind,
     if (regions != nullptr) {
       ++regions->at(regions->region_of(rp)).radio_delivered;
     }
-    sim_->schedule_after(delay, [this, shared_deliver, rx, ctx] {
-      SpanScope scope(sim(), ctx);
-      (*shared_deliver)(rx);
+    survivors.push_back(rx);
+  }
+  if (!survivors.empty()) {
+    sim_->schedule_after(delay, [sim = sim_, survivors = std::move(survivors),
+                                 ctx = sim_->active_span(),
+                                 deliver = std::move(deliver)] {
+      ProfileScope walk(sim->profiler(), "radio_deliver");
+      for (NodeId rx : survivors) {
+        SpanScope scope(*sim, ctx);
+        deliver(rx);
+      }
     });
   }
   return static_cast<int>(scratch_.size());
+}
+
+int RadioMedium::broadcast(NodeId sender, const Packet& pkt) {
+  auto shared = std::make_shared<const Packet>(pkt);
+  return fan_out(sender, pkt.kind,
+                 [registry = registry_, shared = std::move(shared),
+                  sender](NodeId rx) {
+                   if (PacketSink* sink = registry->sink(rx)) {
+                     sink->on_receive(*shared, sender);
+                   }
+                 });
+}
+
+int RadioMedium::broadcast_each(NodeId sender, PacketKind kind,
+                                std::function<void(NodeId)> on_deliver) {
+  HLSRG_CHECK(on_deliver != nullptr);
+  return fan_out(sender, kind, std::move(on_deliver));
 }
 
 void RadioMedium::try_unicast(NodeId sender, NodeId target,
@@ -176,8 +143,17 @@ void RadioMedium::try_unicast(NodeId sender, NodeId target,
       if (regions != nullptr) {
         ++regions->at(regions->region_of(tp)).radio_delivered;
       }
-      deliver(target, std::move(pkt), sender, hop_delay(), ctx, span,
-              retries_used);
+      // The receiver inherits the sender's span context across the hop.
+      sim_->schedule_after(
+          hop_delay(), [this, target, pkt = std::move(pkt), sender, span, ctx,
+                        retries_used] {
+            sim_->end_span(span, SpanStatus::kOk, registry_->position(target),
+                           retries_used);
+            SpanScope scope(*sim_, ctx);
+            if (PacketSink* sink = registry_->sink(target)) {
+              sink->on_receive(*pkt, sender);
+            }
+          });
       return;
     }
   }

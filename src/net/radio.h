@@ -11,9 +11,12 @@
 //
 // Hot-path shape: a broadcast does ONE index walk (query_with_density
 // returns receivers and their cached contention densities together), draws
-// per-receiver loss in a single pass over that batch, and shares one
-// immutable Packet copy across every per-receiver delivery closure instead
-// of copying the Packet into each.
+// per-receiver loss in a single pass over that batch, and schedules ONE
+// fan-out event at the shared hop delay. That event walks the surviving
+// receivers in index-walk order, so dispatch order matches what one event
+// per receiver gave (those events had consecutive sequence numbers at one
+// timestamp, so nothing could run between them), at one queue slot per
+// broadcast instead of one per receiver.
 #pragma once
 
 #include <cstdint>
@@ -63,16 +66,18 @@ class RadioMedium {
   RadioMedium(Simulator& sim, const NodeRegistry& registry, RadioConfig cfg);
 
   // One-hop broadcast to every node in range of the sender. Each receiver
-  // independently passes the loss draw. Returns the in-range receiver count
-  // (before losses).
+  // independently passes the loss draw; survivors' sinks (looked up at
+  // delivery time) get on_receive in index-walk order (cell by cell,
+  // ascending NodeId within a cell), all at one shared hop delay. Returns
+  // the in-range receiver count (before losses).
   int broadcast(NodeId sender, const Packet& pkt);
 
   // One-hop broadcast delivering to a callback instead of node sinks; the
   // geocast layer uses this to run region-limited floods with its own
-  // duplicate suppression. Loss/delay semantics match broadcast(). The
-  // callback fires at reception time, once per surviving receiver. `kind`
-  // feeds the per-kind channel ledger (the frame carries no Packet, but the
-  // conservation auditor still covers it).
+  // duplicate suppression. Loss/delay semantics and delivery order match
+  // broadcast(): the callback fires at reception time, once per surviving
+  // receiver. `kind` feeds the per-kind channel ledger (the frame carries no
+  // Packet, but the conservation auditor still covers it).
   int broadcast_each(NodeId sender, PacketKind kind,
                      std::function<void(NodeId)> on_deliver);
 
@@ -125,13 +130,13 @@ class RadioMedium {
 
  private:
   [[nodiscard]] SimTime hop_delay();
-  // Schedules sink delivery of the shared packet. `ctx` is the span context
-  // re-established around on_receive (so receivers inherit the sender's
-  // query context across the event-queue hop); `span_to_end` is closed kOk
-  // at reception time with `value` (MAC retries used).
-  void deliver(NodeId to, std::shared_ptr<const Packet> pkt, NodeId from,
-               SimTime delay, SpanId ctx = kNoSpan,
-               SpanId span_to_end = kNoSpan, std::int32_t value = -1);
+  // The broadcast kernel behind broadcast() and broadcast_each(): one index
+  // walk, the hop-delay draw, one loss draw per in-range receiver, then at
+  // most one scheduled event that calls `deliver(rx)` for each survivor in
+  // walk order, with the sender's span context re-established around each
+  // call. Returns the in-range receiver count.
+  template <typename Deliver>
+  int fan_out(NodeId sender, PacketKind kind, Deliver deliver);
   void try_unicast(NodeId sender, NodeId target,
                    std::shared_ptr<const Packet> pkt, int attempts_left,
                    std::function<void()> on_lost, SpanId span, SpanId ctx);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/geocast.h"
@@ -305,6 +307,129 @@ TEST(RadioTest, UnicastFrameCallsExactlyOneCallback) {
   // Frame transport must not touch sinks.
   EXPECT_TRUE(net.sink(b).received.empty());
 }
+
+// --- Fan-out delivery --------------------------------------------------------
+//
+// A broadcast schedules one event at the shared hop delay, and that event
+// walks the surviving receivers. These pin the properties the old
+// one-event-per-receiver scheme had: same order, same timestamp, and nothing
+// a receiver schedules can run before the last receiver.
+
+// Reception log shared by every receiver. The first reception schedules a
+// zero-delay follow-up event that logs an invalid NodeId.
+struct Timeline {
+  explicit Timeline(Simulator& s) : sim(&s) {}
+  void record(NodeId rx) {
+    if (entries.empty()) {
+      sim->schedule_after(SimTime{}, [this] {
+        entries.push_back({NodeId{}, sim->now()});
+      });
+    }
+    entries.push_back({rx, sim->now()});
+  }
+  Simulator* sim;
+  std::vector<std::pair<NodeId, SimTime>> entries;
+};
+
+class TimelineSink : public PacketSink {
+ public:
+  TimelineSink(Timeline& timeline, NodeId self)
+      : timeline_(&timeline), self_(self) {}
+  void on_receive(const Packet&, NodeId) override { timeline_->record(self_); }
+
+ private:
+  Timeline* timeline_;
+  NodeId self_;
+};
+
+// Node 0 sends; nodes 1..n receive. Everyone sits inside one 500 m index
+// cell, so the index walk visits receivers in ascending NodeId order; the
+// receivers are placed out of id order along x so that order is not also
+// distance order.
+class FanOutNet {
+ public:
+  FanOutNet(Simulator& sim, RadioConfig cfg, int receivers)
+      : timeline_(sim) {
+    registry_.add_node(Vec2{250, 250});
+    for (int i = 0; i < receivers; ++i) {
+      const double x = 20.0 + 30.0 * ((i * 5) % 7);  // distinct for i < 7
+      registry_.add_node(Vec2{x, 100});
+    }
+    for (std::size_t i = 0; i < registry_.count(); ++i) {
+      sinks_.push_back(std::make_unique<TimelineSink>(timeline_, NodeId{i}));
+      registry_.set_sink(NodeId{i}, sinks_.back().get());
+    }
+    medium_ = std::make_unique<RadioMedium>(sim, registry_, cfg);
+  }
+
+  // Broadcasts from node 0 through broadcast() or broadcast_each().
+  int send(bool each) {
+    const NodeId sender{0u};
+    if (!each) return medium_->broadcast(sender, make_test_packet());
+    return medium_->broadcast_each(sender, PacketKind::kQueryRequest,
+                                   [this](NodeId rx) { timeline_.record(rx); });
+  }
+
+  const Timeline& timeline() const { return timeline_; }
+
+ private:
+  Timeline timeline_;
+  NodeRegistry registry_;
+  std::vector<std::unique_ptr<TimelineSink>> sinks_;
+  std::unique_ptr<RadioMedium> medium_;
+};
+
+class FanOutTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(FanOutTest, OneEventCarriesEverySurvivor) {
+  Simulator sim(21);
+  FanOutNet net(sim, lossless(), 5);
+  const std::uint64_t before = sim.queue().events_scheduled();
+  EXPECT_EQ(net.send(GetParam()), 5);
+  EXPECT_EQ(sim.queue().events_scheduled(), before + 1);
+  sim.run_until(SimTime::from_sec(1));
+  // Five receptions plus the follow-up the first one scheduled.
+  EXPECT_EQ(net.timeline().entries.size(), 6u);
+}
+
+TEST_P(FanOutTest, TotalLossSchedulesNothing) {
+  Simulator sim(22);
+  RadioConfig cfg;
+  cfg.base_loss = 1.0;
+  cfg.max_loss = 1.0;
+  FanOutNet net(sim, cfg, 5);
+  const std::uint64_t before = sim.queue().events_scheduled();
+  EXPECT_EQ(net.send(GetParam()), 5);
+  EXPECT_EQ(sim.queue().events_scheduled(), before);
+  EXPECT_EQ(sim.metrics().radio_drops, 5u);
+  sim.run_until(SimTime::from_sec(1));
+  EXPECT_TRUE(net.timeline().entries.empty());
+}
+
+TEST_P(FanOutTest, ReceiversRunInIdOrderAtOneTimeBeforeTheirFollowUps) {
+  Simulator sim(23);
+  FanOutNet net(sim, lossless(), 6);
+  net.send(GetParam());
+  sim.run_until(SimTime::from_sec(1));
+  const auto& entries = net.timeline().entries;
+  ASSERT_EQ(entries.size(), 7u);
+  const SimTime at = entries[0].second;
+  EXPECT_GT(at, SimTime{});
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(entries[i].first, NodeId{i + 1}) << "reception " << i;
+    EXPECT_EQ(entries[i].second, at);
+  }
+  // The zero-delay event the first receiver scheduled runs after the last
+  // receiver, at the same timestamp.
+  EXPECT_FALSE(entries.back().first.valid());
+  EXPECT_EQ(entries.back().second, at);
+}
+
+std::string kernel_name(const ::testing::TestParamInfo<bool>& param_info) {
+  return param_info.param ? "BroadcastEach" : "Broadcast";
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernel, FanOutTest, ::testing::Bool(), kernel_name);
 
 // --- GPSR ----------------------------------------------------------------------
 

@@ -11,8 +11,8 @@
 //   * OpenAddressMap against std::unordered_map, including the key that
 //     collides with the empty-slot sentinel;
 //   * nearest_intersection's ring-walking grid against a brute-force scan;
-//   * the stale-neighbor-index regression (position writes mid-timestamp
-//     must invalidate the index via the registry's position generation);
+//   * the neighbor-index cache key (position writes become visible when
+//     the registry's position generation advances, and only then);
 //   * channel-ledger closure now that every drop path is accounted.
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "harness/world.h"
 #include "net/neighbor_index.h"
 #include "net/node_registry.h"
+#include "obs/profiler.h"
 #include "roadnet/map_builder.h"
 #include "roadnet/road_network.h"
 #include "sim/event_queue.h"
@@ -316,14 +317,14 @@ TEST(OpenAddressMapTest, FuzzAgainstUnorderedMap) {
 }
 
 // ---------------------------------------------------------------------------
-// Stale-neighbor-index regression (satellite bugfix a).
+// Neighbor-index cache key: the registry's position generation alone.
 
 TEST(StaleIndexRegressionTest, PositionWriteMidTimestampInvalidatesIndex) {
   // A pushed position write alone does not invalidate cached neighbor
-  // sets; the mutator must also bump the position generation. The index
-  // keys its rebuild on (time, generation): with the bump, a query at the
-  // SAME timestamp sees the new position — without it, the seed's bug, the
-  // index kept serving the stale snapshot.
+  // sets; the mutator must also bump the position generation. With the
+  // bump, a query at the SAME timestamp sees the new position — without it
+  // (the seed's bug, when the clock was the only key) the index kept
+  // serving the stale snapshot.
   NodeRegistry registry;
   const NodeId mover = registry.add_node(Vec2{100.0, 100.0});
   const NodeId anchor = registry.add_node(Vec2{900.0, 900.0});
@@ -345,9 +346,9 @@ TEST(StaleIndexRegressionTest, PositionWriteMidTimestampInvalidatesIndex) {
 }
 
 TEST(StaleIndexRegressionTest, WithoutBumpSameTimestampRefreshIsANoop) {
-  // Companion check documenting the cache key: an unannounced write is
-  // invisible until either the clock or the generation advances. This is
-  // why every position mutator must bump.
+  // Companion check documenting the cache key: an unannounced write stays
+  // invisible until the generation advances. Advancing the clock alone no
+  // longer exposes it, which is why every position mutator must bump.
   NodeRegistry registry;
   const NodeId mover = registry.add_node(Vec2{100.0, 100.0});
   const NodeId anchor = registry.add_node(Vec2{900.0, 900.0});
@@ -355,10 +356,45 @@ TEST(StaleIndexRegressionTest, WithoutBumpSameTimestampRefreshIsANoop) {
   NeighborIndex index(registry, 500.0);
   index.refresh(SimTime::from_sec(10));
   registry.set_position(mover, Vec2{850.0, 900.0});  // no bump
-  index.refresh(SimTime::from_sec(10));
   std::vector<NodeId> out;
+  for (const SimTime now : {SimTime::from_sec(10), SimTime::from_sec(11)}) {
+    index.refresh(now);
+    out.clear();
+    index.query(Vec2{900.0, 900.0}, 500.0, anchor, &out);
+    EXPECT_TRUE(out.empty()) << "unbumped write visible at " << now.sec()
+                             << " s";
+  }
+  registry.bump_position_generation();
+  index.refresh(SimTime::from_sec(11));
+  out.clear();
   index.query(Vec2{900.0, 900.0}, 500.0, anchor, &out);
-  EXPECT_TRUE(out.empty());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], mover);
+}
+
+TEST(StaleIndexRegressionTest, LaterTimestampWithSameGenerationDoesNotRebuild) {
+  NodeRegistry registry;
+  registry.add_node(Vec2{100.0, 100.0});
+  registry.add_node(Vec2{900.0, 900.0});
+  NeighborIndex index(registry, 500.0);
+  PhaseProfiler profiler;
+  const auto rebuilds = [&profiler] {
+    const int node = profiler.find("neighbor_index_rebuild");
+    return node < 0 ? std::uint64_t{0}
+                    : profiler.nodes()[static_cast<std::size_t>(node)].calls;
+  };
+
+  index.refresh(SimTime::from_sec(1), &profiler);
+  EXPECT_EQ(rebuilds(), 1u);
+  for (int t = 2; t <= 5; ++t) index.refresh(SimTime::from_sec(t), &profiler);
+  EXPECT_EQ(rebuilds(), 1u) << "clock advance alone must not rebuild";
+
+  registry.bump_position_generation();
+  index.refresh(SimTime::from_sec(5), &profiler);
+  EXPECT_EQ(rebuilds(), 2u);
+  registry.add_node(Vec2{300.0, 300.0});  // node count changes the key too
+  index.refresh(SimTime::from_sec(5), &profiler);
+  EXPECT_EQ(rebuilds(), 3u);
 }
 
 // ---------------------------------------------------------------------------
