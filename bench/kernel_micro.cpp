@@ -5,6 +5,7 @@
 // micro_engine.cpp.
 #include <benchmark/benchmark.h>
 
+#include "core/location_table.h"
 #include "grid/hierarchy.h"
 #include "grid/partition.h"
 #include "harness/world.h"
@@ -12,7 +13,6 @@
 #include "roadnet/map_builder.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "util/flat_table.h"
 
 namespace hlsrg {
 namespace {
@@ -100,9 +100,13 @@ void BM_NeighborIndexQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborIndexQuery);
 
-void BM_FlatTableLookup(benchmark::State& state) {
-  FlatTable<VehicleId, int> table;
-  for (std::uint32_t i = 0; i < 500; ++i) table.upsert(VehicleId{i * 3}, 1);
+void BM_ExpiringTableLookup(benchmark::State& state) {
+  L1Table table;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    L1Record rec;
+    rec.vehicle = VehicleId{i * 3};
+    table.record(rec);
+  }
   Rng rng(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -110,7 +114,7 @@ void BM_FlatTableLookup(benchmark::State& state) {
             rng.uniform_int(0, 1500))}));
   }
 }
-BENCHMARK(BM_FlatTableLookup);
+BENCHMARK(BM_ExpiringTableLookup);
 
 void BM_MapBuild(benchmark::State& state) {
   for (auto _ : state) {

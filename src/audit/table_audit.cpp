@@ -102,14 +102,16 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
       report->add("table", where + " holds an L2 table");
     }
 
-    for (const auto& [vehicle, s] : agent.l2_table()) {
+    for (const L2Summary& s : agent.l2_table()) {
+      const VehicleId vehicle = s.vehicle;
       check_entry(ctx, where + " l2_table", vehicle, s.time, l2_max);
       if (!coord_in_range(ctx, s.l1, GridLevel::kL1)) {
         violation(ctx, where + " l2_table", vehicle,
                   "references out-of-range L1 grid " + coord_str(s.l1));
       }
     }
-    for (const auto& [vehicle, s] : agent.l3_table()) {
+    for (const L3Summary& s : agent.l3_table()) {
+      const VehicleId vehicle = s.vehicle;
       check_entry(ctx, where + " l3_table", vehicle, s.time, l3_max);
       if (!coord_in_range(ctx, s.l2, GridLevel::kL2)) {
         violation(ctx, where + " l3_table", vehicle,
@@ -125,7 +127,8 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
     const bool at_l2 = agent.level() == GridLevel::kL2;
     const SimTime full_expiry = at_l2 ? cfg.l2_expiry : cfg.l3_expiry;
     const SimTime full_max = at_l2 ? l2_max : l3_max;
-    for (const auto& [vehicle, rec] : agent.full_table()) {
+    for (const L1Record& rec : agent.full_table()) {
+      const VehicleId vehicle = rec.vehicle;
       check_entry(ctx, where + " full_table", vehicle, rec.time, full_max);
       if (!coord_in_range(ctx, rec.l1, GridLevel::kL1)) {
         violation(ctx, where + " full_table", vehicle,
@@ -174,7 +177,8 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
     std::ostringstream os;
     os << "center vehicle " << agent.vehicle() << " l1_table";
     const std::string where = os.str();
-    for (const auto& [vehicle, rec] : agent.table()) {
+    for (const L1Record& rec : agent.table()) {
+      const VehicleId vehicle = rec.vehicle;
       check_entry(ctx, where, vehicle, rec.time, l1_max);
       if (!coord_in_range(ctx, rec.l1, GridLevel::kL1)) {
         violation(ctx, where, vehicle,

@@ -39,23 +39,12 @@ void FloodVehicleAgent::flood_own_location() {
       &svc_->metrics().update_transmissions);
 }
 
-void FloodVehicleAgent::purge_cache() {
-  const SimTime now = svc_->sim().now();
-  const SimTime expiry = svc_->cfg().cache_expiry;
-  cache_.erase_if([now, expiry](VehicleId, const CacheEntry& e) {
-    return e.time + expiry < now;
-  });
-}
-
 void FloodVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
   switch (packet.kind) {
     case PacketKind::kFloodUpdate: {
       const auto& u = payload_as<FloodUpdatePayload>(packet);
       if (u.vehicle == vehicle_) return;
-      if (const CacheEntry* cur = cache_.find(u.vehicle);
-          cur == nullptr || cur->time < u.time) {
-        cache_.upsert(u.vehicle, CacheEntry{u.pos, u.time});
-      }
+      cache_.record(CacheEntry{u.vehicle, u.pos, u.time});
       return;
     }
     case PacketKind::kFloodProbe:
@@ -102,7 +91,7 @@ void FloodVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
 
 void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
                                     VehicleId target) {
-  purge_cache();
+  cache_.purge(svc_->sim().now(), svc_->cfg().cache_expiry);
   auto probe = std::make_shared<FloodProbePayload>();
   probe->query_id = qid;
   probe->src_vehicle = vehicle_;

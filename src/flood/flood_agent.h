@@ -6,6 +6,7 @@
 #include "flood/flood_messages.h"
 #include "net/node_registry.h"
 #include "sim/event_queue.h"
+#include "sim/expiring_table.h"
 #include "util/flat_table.h"
 
 namespace hlsrg {
@@ -28,18 +29,18 @@ class FloodVehicleAgent final : public PacketSink {
 
  private:
   struct CacheEntry {
+    VehicleId vehicle;
     Vec2 pos;
     SimTime time;
   };
 
   void flood_own_location();
-  void purge_cache();
 
   FloodService* svc_;
   VehicleId vehicle_;
   NodeId node_;
   double distance_since_flood_;
-  FlatTable<VehicleId, CacheEntry> cache_;
+  ExpiringTable<CacheEntry> cache_;
 
   struct Pending {
     VehicleId target;

@@ -68,9 +68,8 @@ void mix_metrics(Fnv& f, const RunMetrics& m) {
 }
 
 // Tables are hashed through snapshot() — the canonical key-sorted view —
-// so the digest is a function of table *contents*, not of the arena's
-// insertion-and-erase history. The sorted order matches the old FlatTable
-// iteration order byte for byte.
+// so the digest is a function of table *contents*, not of the table's
+// insertion-and-erase history (its dense iteration order).
 void mix_hlsrg_tables(Fnv& f, const HlsrgService& svc,
                       std::size_t vehicle_count) {
   for (std::size_t i = 0; i < vehicle_count; ++i) {

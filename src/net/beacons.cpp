@@ -1,5 +1,7 @@
 #include "net/beacons.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace hlsrg {
@@ -29,7 +31,7 @@ void BeaconService::beacon_from(NodeId node) {
   medium_->broadcast_each(node, PacketKind::kHello,
                           [this, node, pos, now](NodeId rx) {
     if (rx.index() < tables_.size()) {
-      tables_[rx.index()].upsert(node, Entry{pos, now});
+      tables_[rx.index()].record(Entry{node, pos, now});
     }
   });
   medium_->sim().schedule_after(SimTime::from_sec(cfg_.interval_sec),
@@ -39,16 +41,13 @@ void BeaconService::beacon_from(NodeId node) {
 void BeaconService::neighbors_of(NodeId node, std::vector<Neighbor>* out) {
   HLSRG_CHECK(out != nullptr);
   HLSRG_CHECK(node.index() < tables_.size());
-  auto& table = tables_[node.index()];
-  const SimTime now = medium_->sim().now();
-  const SimTime horizon = SimTime::from_sec(cfg_.timeout_sec);
-  table.erase_if([now, horizon](NodeId, const Entry& e) {
-    return e.heard + horizon < now;
-  });
-  out->reserve(out->size() + table.size());
-  for (const auto& [id, entry] : table) {
-    out->push_back(Neighbor{id, entry.pos});
-  }
+  Table& table = tables_[node.index()];
+  table.purge(medium_->sim().now(), SimTime::from_sec(cfg_.timeout_sec));
+  const std::size_t first = out->size();
+  out->reserve(first + table.size());
+  for (const Entry& e : table) out->push_back(Neighbor{e.node, e.pos});
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end(),
+            [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
 }
 
 }  // namespace hlsrg

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "net/radio.h"
-#include "util/flat_table.h"
+#include "sim/expiring_table.h"
 
 namespace hlsrg {
 
@@ -39,24 +39,28 @@ class BeaconService {
     Vec2 heard_pos;  // position advertised in the last HELLO received
   };
 
-  // Appends the live neighbor table of `node` (staleness-purged) to `out`.
+  // Appends the live neighbor table of `node` (staleness-purged) to `out`,
+  // in ascending NodeId order (GPSR's tie-breaks depend on it).
   void neighbors_of(NodeId node, std::vector<Neighbor>* out);
 
   [[nodiscard]] std::uint64_t beacons_sent() const { return beacons_sent_; }
   [[nodiscard]] const BeaconConfig& config() const { return cfg_; }
 
- private:
+  // One neighbor-table record: the last HELLO heard from `node`.
   struct Entry {
+    NodeId node;
     Vec2 pos;
-    SimTime heard;
+    SimTime time;
   };
+  using Table = ExpiringTable<Entry, &Entry::node>;
 
+ private:
   void beacon_from(NodeId node);
 
   RadioMedium* medium_;
   const NodeRegistry* registry_;
   BeaconConfig cfg_;
-  std::vector<FlatTable<NodeId, Entry>> tables_;  // indexed by NodeId
+  std::vector<Table> tables_;  // indexed by NodeId
   std::uint64_t beacons_sent_ = 0;
 };
 

@@ -41,12 +41,8 @@ bool RlsmpVehicleAgent::lsc_duty() const {
 
 void RlsmpVehicleAgent::purge_tables() {
   const SimTime now = svc_->sim().now();
-  const SimTime expiry = svc_->cfg().entry_expiry;
-  auto stale = [now, expiry](VehicleId, const CellRecord& r) {
-    return r.time + expiry < now;
-  };
-  cell_table_.erase_if(stale);
-  cluster_table_.erase_if(stale);
+  cell_table_.purge(now, svc_->cfg().entry_expiry);
+  cluster_table_.purge(now, svc_->cfg().entry_expiry);
 }
 
 // ---------------------------------------------------------------------------
@@ -64,11 +60,11 @@ void RlsmpVehicleAgent::handle_moved(Vec2 before, Vec2 after) {
   const bool now_in =
       distance(after, g.cell_center(cell)) <= svc_->cfg().leader_radius_m;
   if (now_in && (!in_leader_ || !(cell == leader_cell_))) {
+    // Tables are written only while in_leader_, and leaving releases them,
+    // so a new leader region always starts empty.
     if (in_leader_) leave_leader_region();
     in_leader_ = true;
     leader_cell_ = cell;
-    cell_table_.clear();
-    cluster_table_.clear();
   } else if (!now_in && in_leader_) {
     leave_leader_region();
   }
@@ -95,22 +91,22 @@ void RlsmpVehicleAgent::leave_leader_region() {
   const bool was_lsc = lsc_duty();
   in_leader_ = false;
   purge_tables();
-  if (cell_table_.empty() && cluster_table_.empty()) return;
-  auto payload = std::make_shared<LeaderHandoffPayload>();
-  payload->cell = leader_cell_;
-  for (const auto& [v, rec] : cell_table_) payload->cell_records.push_back(rec);
-  payload->is_lsc = was_lsc;
-  if (was_lsc) {
-    for (const auto& [v, rec] : cluster_table_) {
-      payload->cluster_records.push_back(rec);
-    }
+  if (!cell_table_.empty() || !cluster_table_.empty()) {
+    // Receivers merge newest-wins, so record order does not matter.
+    auto payload = std::make_shared<LeaderHandoffPayload>();
+    payload->cell = leader_cell_;
+    payload->cell_records = cell_table_.unsorted_records();
+    payload->is_lsc = was_lsc;
+    if (was_lsc) payload->cluster_records = cluster_table_.unsorted_records();
+    svc_->metrics().aggregation_packets++;
+    svc_->metrics().aggregation_transmissions++;
+    svc_->medium().broadcast(
+        node_, svc_->make_packet(PacketKind::kLeaderHandoff, node_, payload));
   }
-  svc_->metrics().aggregation_packets++;
-  svc_->metrics().aggregation_transmissions++;
-  svc_->medium().broadcast(node_,
-                           svc_->make_packet(PacketKind::kLeaderHandoff, node_, payload));
-  cell_table_.clear();
-  cluster_table_.clear();
+  // An ex-leader's duty has ended: return the tables' memory, as HLSRG
+  // ex-centers do.
+  cell_table_.release();
+  cluster_table_.release();
 }
 
 // ---------------------------------------------------------------------------
@@ -127,12 +123,7 @@ void RlsmpVehicleAgent::aggregation_tick(std::int64_t period_index) {
   if (leader_cell_ == lsc) {
     // This cell *is* the LSC cell: fold the local table into the cluster
     // table directly, no radio needed.
-    for (const auto& [v, rec] : cell_table_) {
-      if (const CellRecord* cur = cluster_table_.find(v);
-          cur == nullptr || cur->time < rec.time) {
-        cluster_table_.upsert(v, rec);
-      }
-    }
+    for (const CellRecord& rec : cell_table_) cluster_table_.record(rec);
     return;
   }
   if (heard_push_period_ == period_index) return;  // peer already pushed
@@ -146,7 +137,7 @@ void RlsmpVehicleAgent::aggregation_tick(std::int64_t period_index) {
 
   auto payload = std::make_shared<CellSummaryPayload>();
   payload->cell = leader_cell_;
-  for (const auto& [v, rec] : cell_table_) payload->records.push_back(rec);
+  payload->records = cell_table_.unsorted_records();
   svc_->metrics().aggregation_packets++;
   svc_->gpsr().send(node_, g.cell_center(lsc), std::nullopt,
                     svc_->make_packet(PacketKind::kCellSummary, node_, payload),
@@ -165,10 +156,7 @@ void RlsmpVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       if (!in_leader_) return;
       const auto& u = payload_as<CellUpdatePayload>(packet);
       if (u.record.cell == leader_cell_) {
-        if (const CellRecord* cur = cell_table_.find(u.record.vehicle);
-            cur == nullptr || cur->time < u.record.time) {
-          cell_table_.upsert(u.record.vehicle, u.record);
-        }
+        cell_table_.record(u.record);
       } else if (u.cell_changed && u.old_cell == leader_cell_) {
         cell_table_.erase(u.record.vehicle);
       }
@@ -179,12 +167,7 @@ void RlsmpVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       const auto& s = payload_as<CellSummaryPayload>(packet);
       const CellGrid& g = svc_->cells();
       if (!(g.cluster_of(s.cell) == g.cluster_of(leader_cell_))) return;
-      for (const CellRecord& rec : s.records) {
-        if (const CellRecord* cur = cluster_table_.find(rec.vehicle);
-            cur == nullptr || cur->time < rec.time) {
-          cluster_table_.upsert(rec.vehicle, rec);
-        }
-      }
+      cluster_table_.merge(s.records);
       return;
     }
     case PacketKind::kPushClaim: {
@@ -198,20 +181,8 @@ void RlsmpVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       if (!in_leader_) return;
       const auto& h = payload_as<LeaderHandoffPayload>(packet);
       if (!(h.cell == leader_cell_)) return;
-      for (const CellRecord& rec : h.cell_records) {
-        if (const CellRecord* cur = cell_table_.find(rec.vehicle);
-            cur == nullptr || cur->time < rec.time) {
-          cell_table_.upsert(rec.vehicle, rec);
-        }
-      }
-      if (h.is_lsc && lsc_duty()) {
-        for (const CellRecord& rec : h.cluster_records) {
-          if (const CellRecord* cur = cluster_table_.find(rec.vehicle);
-              cur == nullptr || cur->time < rec.time) {
-            cluster_table_.upsert(rec.vehicle, rec);
-          }
-        }
-      }
+      cell_table_.merge(h.cell_records);
+      if (h.is_lsc && lsc_duty()) cluster_table_.merge(h.cluster_records);
       return;
     }
     case PacketKind::kRlsmpQuery: {

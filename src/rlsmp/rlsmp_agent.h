@@ -7,6 +7,7 @@
 #include "rlsmp/cell_grid.h"
 #include "rlsmp/rlsmp_messages.h"
 #include "sim/event_queue.h"
+#include "sim/expiring_table.h"
 #include "util/flat_table.h"
 
 namespace hlsrg {
@@ -67,9 +68,9 @@ class RlsmpVehicleAgent final : public PacketSink {
   bool in_leader_ = false;
   CellCoord leader_cell_;
   // Per-cell leader table (full records).
-  FlatTable<VehicleId, CellRecord> cell_table_;
+  ExpiringTable<CellRecord> cell_table_;
   // Cluster table, populated only while on LSC duty.
-  FlatTable<VehicleId, CellRecord> cluster_table_;
+  ExpiringTable<CellRecord> cluster_table_;
 
   std::int64_t heard_push_period_ = -1;
 

@@ -1,17 +1,14 @@
 // Flat (vector-backed) associative containers.
 //
-// FlatTable: a small sorted-vector map keyed by a TaggedId. Location tables
-// hold a few hundred entries that are scanned far more often than they are
-// mutated (every query checks the table; expiry sweeps walk it). A sorted
-// std::vector beats node-based maps here: one allocation, contiguous scans,
-// O(log n) lookup (Core Guidelines Per.14/Per.16/Per.19).
-//
 // OpenAddressMap: a linear-probing hash map over trivially copyable keys and
 // values for hot lookup paths (the neighbor index's cell table, the
-// ArenaTable key index). One contiguous slot array plus a one-byte state
+// ExpiringTable key index). One contiguous slot array plus a one-byte state
 // array, power-of-two capacity. Erase writes a tombstone; the load factor
 // counts tombstones, so heavy erase churn triggers a compacting rehash
 // instead of degrading probes toward O(capacity).
+//
+// SmallFlatMap and SortedIdSet: agent-local bookkeeping with a handful of
+// live entries, where one vector beats a node-based container.
 #pragma once
 
 #include <algorithm>
@@ -24,85 +21,6 @@
 #include "util/check.h"
 
 namespace hlsrg {
-
-template <typename Key, typename Value>
-class FlatTable {
- public:
-  using Entry = std::pair<Key, Value>;
-  using iterator = typename std::vector<Entry>::iterator;
-  using const_iterator = typename std::vector<Entry>::const_iterator;
-
-  // Inserts or overwrites the value for `key`. Returns true if inserted.
-  bool upsert(Key key, Value value) {
-    auto it = lower_bound(key);
-    if (it != entries_.end() && it->first == key) {
-      it->second = std::move(value);
-      return false;
-    }
-    entries_.insert(it, Entry{key, std::move(value)});
-    return true;
-  }
-
-  // Returns a pointer to the value for `key`, or nullptr.
-  [[nodiscard]] const Value* find(Key key) const {
-    auto it = lower_bound(key);
-    if (it != entries_.end() && it->first == key) return &it->second;
-    return nullptr;
-  }
-
-  [[nodiscard]] Value* find(Key key) {
-    auto it = lower_bound(key);
-    if (it != entries_.end() && it->first == key) return &it->second;
-    return nullptr;
-  }
-
-  // Removes the entry for `key`; returns true if it existed.
-  bool erase(Key key) {
-    auto it = lower_bound(key);
-    if (it == entries_.end() || it->first != key) return false;
-    entries_.erase(it);
-    return true;
-  }
-
-  // Removes every entry for which pred(key, value) is true; returns count.
-  template <typename Pred>
-  std::size_t erase_if(Pred pred) {
-    auto it = std::remove_if(entries_.begin(), entries_.end(),
-                             [&](const Entry& e) {
-                               return pred(e.first, e.second);
-                             });
-    const auto n = static_cast<std::size_t>(entries_.end() - it);
-    entries_.erase(it, entries_.end());
-    return n;
-  }
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  // Heap footprint of the entry array (capacity, not size).
-  [[nodiscard]] std::size_t bytes() const {
-    return entries_.capacity() * sizeof(Entry);
-  }
-  void clear() { entries_.clear(); }
-
-  [[nodiscard]] const_iterator begin() const { return entries_.begin(); }
-  [[nodiscard]] const_iterator end() const { return entries_.end(); }
-  [[nodiscard]] iterator begin() { return entries_.begin(); }
-  [[nodiscard]] iterator end() { return entries_.end(); }
-
- private:
-  [[nodiscard]] const_iterator lower_bound(Key key) const {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const Entry& e, Key k) { return e.first < k; });
-  }
-  [[nodiscard]] iterator lower_bound(Key key) {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const Entry& e, Key k) { return e.first < k; });
-  }
-
-  std::vector<Entry> entries_;
-};
 
 // Mixes a 64-bit key into a table index (SplitMix64 finalizer); good enough
 // for packed coordinates and ids, and fully deterministic.
@@ -213,7 +131,7 @@ class OpenAddressMap {
     tombstones_ = 0;
   }
 
-  // Drops every entry and frees the slot arrays (see ArenaTable::release).
+  // Drops every entry and frees the slot arrays (see ExpiringTable::release).
   void release() {
     slots_ = std::vector<Slot>{};
     states_ = std::vector<std::uint8_t>{};

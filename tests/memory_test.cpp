@@ -1,9 +1,11 @@
-// Tests for the million-entity memory layer (DESIGN.md §15): the arena
-// table family fuzzed against std::map, the open-addressing map's tombstone
-// compaction fuzzed against std::unordered_map, the expiry wheel against
-// the full-scan eviction predicate, and the flat agent-side containers.
+// Tests for the million-entity memory layer (DESIGN.md §15): the one
+// expiring table fuzzed against std::map, the open-addressing map's
+// tombstone compaction fuzzed against std::unordered_map, the expiry wheel
+// against the full-scan eviction predicate, and the flat agent-side
+// containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -11,7 +13,8 @@
 #include <vector>
 
 #include "core/location_table.h"
-#include "util/arena_table.h"
+#include "net/beacons.h"
+#include "sim/expiring_table.h"
 #include "util/expiry_wheel.h"
 #include "util/flat_table.h"
 
@@ -31,98 +34,130 @@ struct Mix64 {
   }
 };
 
-// --- ArenaTable ------------------------------------------------------------
+// --- ExpiringTable ---------------------------------------------------------
 
-TEST(ArenaTableTest, FuzzMatchesStdMap) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
-  std::map<std::uint64_t, std::uint64_t> model;
-  Mix64 rng{1234};
-  for (int step = 0; step < 20000; ++step) {
+L1Record l1_record(std::uint32_t vehicle, SimTime time) {
+  L1Record rec;
+  rec.vehicle = VehicleId{vehicle};
+  rec.time = time;
+  return rec;
+}
+
+// Reference-model fuzz of record (newest wins) / erase / find / purge /
+// snapshot against a std::map keyed the same way. Timestamps jitter up to
+// 200 s behind `now`, so some records arrive already expired and some lose
+// the newest-wins race; purge() must evict exactly the full-scan set
+// (time + expiry < now) even though overwrites leave the wheel's items
+// stale and fresh surfaced records re-arm.
+template <typename Rec, auto KeyField>
+void fuzz_against_std_map(std::uint64_t seed) {
+  using Table = ExpiringTable<Rec, KeyField>;
+  using Key = typename Table::Key;
+  Table table;
+  std::map<Key, Rec> model;
+  Mix64 rng{seed};
+  SimTime now = SimTime::from_sec(300.0);
+  const SimTime expiry = SimTime::from_sec(132.0);
+  const auto expect_same = [](const Rec& got, const Rec& want) {
+    EXPECT_EQ(got.*KeyField, want.*KeyField);
+    EXPECT_EQ(got.time.us(), want.time.us());
+    EXPECT_EQ(got.pos.x, want.pos.x);
+  };
+  for (int step = 0; step < 30000; ++step) {
     const std::uint64_t r = rng.next();
-    const std::uint64_t key = r % 512;  // small key space forces collisions
-    const std::uint64_t op = (r >> 32) % 10;
-    if (op < 6) {
-      const std::uint64_t value = rng.next();
-      const bool inserted = table.upsert(key, value);
-      EXPECT_EQ(inserted, model.find(key) == model.end());
-      model[key] = value;
-    } else if (op < 9) {
-      EXPECT_EQ(table.erase(key), model.erase(key) == 1);
-    } else {
-      const std::uint64_t* rec = table.find(key);
+    const Key key{static_cast<std::uint32_t>(r % 400)};
+    const std::uint64_t op = (r >> 32) % 20;
+    if (op < 10) {
+      Rec rec{};
+      rec.*KeyField = key;
+      rec.time = now - SimTime::from_us(
+                           static_cast<std::int64_t>(rng.next() % 200000000));
+      rec.pos = Vec2{static_cast<double>(step), 0.0};
+      table.record(rec);
       const auto it = model.find(key);
-      ASSERT_EQ(rec != nullptr, it != model.end());
-      if (rec != nullptr) {
-        EXPECT_EQ(*rec, it->second);
+      if (it == model.end()) {
+        model.emplace(key, rec);
+      } else if (it->second.time < rec.time) {
+        it->second = rec;
       }
+    } else if (op < 13) {
+      ASSERT_EQ(table.erase(key), model.erase(key) == 1);
+    } else if (op < 18) {
+      const Rec* got = table.find(key);
+      const auto it = model.find(key);
+      ASSERT_EQ(got != nullptr, it != model.end());
+      if (got != nullptr) expect_same(*got, it->second);
+    } else {
+      now = now + SimTime::from_sec(5.0);
+      std::size_t expired = 0;
+      for (auto it = model.begin(); it != model.end();) {
+        if (it->second.time + expiry < now) {
+          it = model.erase(it);
+          ++expired;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(table.purge(now, expiry), expired) << "step " << step;
     }
-    ASSERT_EQ(table.size(), model.size());
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    if (step % 1000 == 999) {
+      // snapshot() is key-sorted, so it must mirror the model's iteration.
+      const std::vector<Rec> snap = table.snapshot();
+      ASSERT_EQ(snap.size(), model.size());
+      std::size_t i = 0;
+      for (const auto& [k, rec] : model) expect_same(snap[i++], rec);
+    }
   }
-  // snapshot() is key-sorted, so it must mirror the model's iteration.
-  const std::vector<std::uint64_t> snap = table.snapshot();
-  ASSERT_EQ(snap.size(), model.size());
-  std::size_t i = 0;
-  for (const auto& [key, value] : model) EXPECT_EQ(snap[i++], value);
 }
 
-TEST(ArenaTableTest, RecordAddressesSurviveGrowth) {
-  // Pages come whole from the arena; growing the table must never move an
-  // existing record (agents hold pointers across inserts).
-  ArenaTable<std::uint64_t, std::uint64_t> table;
-  table.upsert(5, 55);
-  const std::uint64_t* early = table.find(5);
-  for (std::uint64_t k = 1000; k < 6000; ++k) table.upsert(k, k);
-  EXPECT_EQ(table.find(5), early);
-  EXPECT_EQ(*early, 55u);
+TEST(ExpiringTableTest, FuzzMatchesStdMapForL1Records) {
+  fuzz_against_std_map<L1Record, &L1Record::vehicle>(1234);
 }
 
-TEST(ArenaTableTest, ClearRecyclesPagesWithoutGrowingTheArena) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
-  for (std::uint64_t k = 0; k < 4096; ++k) table.upsert(k, k);
-  const std::size_t bytes_full = table.bytes();
-  table.clear();
-  EXPECT_TRUE(table.empty());
-  for (std::uint64_t k = 0; k < 4096; ++k) table.upsert(k, k + 1);
-  // Refilling to the same population reuses the recycled pages.
-  EXPECT_EQ(table.bytes(), bytes_full);
-  EXPECT_EQ(*table.find(7), 8u);
+TEST(ExpiringTableTest, FuzzMatchesStdMapForBeaconEntries) {
+  fuzz_against_std_map<BeaconService::Entry, &BeaconService::Entry::node>(21);
 }
 
-TEST(ArenaTableTest, ReleaseReturnsAllMemoryAndTheTableStaysUsable) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
-  for (std::uint64_t k = 0; k < 1000; ++k) table.upsert(k, k);
+TEST(ExpiringTableTest, ReleaseReturnsAllMemoryAndTheTableStaysUsable) {
+  L1Table table;
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    table.record(l1_record(k, SimTime::from_sec(1.0)));
+  }
   EXPECT_GT(table.bytes(), 0u);
   table.release();
   EXPECT_TRUE(table.empty());
-  // Unlike clear(), release() returns the pages, index, and arena chunks.
+  // Unlike clear(), release() returns the records, index, and wheel.
   EXPECT_EQ(table.bytes(), 0u);
-  table.upsert(42, 7);
-  EXPECT_EQ(*table.find(42), 7u);
-  // A released-then-small table pays the small-table floor, not its old
-  // 1000-entry peak.
+  table.record(l1_record(42, SimTime::from_sec(2.0)));
+  ASSERT_NE(table.find(VehicleId{std::uint32_t{42}}), nullptr);
+  EXPECT_EQ(table.find(VehicleId{std::uint32_t{42}})->time.us(), 2000000);
+  // A released-then-small table pays a small table's bytes, not its old
+  // 1000-record peak.
   EXPECT_LT(table.bytes(), 2048u);
 }
 
-TEST(ArenaTableTest, SmallTablePaysTheSmallPageFloor) {
-  // The geometric page ramp: three records must not cost a full
-  // 256-record page (the per-vehicle L1 table is the common case, and at
-  // 100k vehicles the occupied-but-small floor dominates bytes/vehicle).
-  using Table = ArenaTable<std::uint64_t, std::uint64_t>;
-  Table table;
-  for (std::uint64_t k = 0; k < 3; ++k) table.upsert(k, k);
-  EXPECT_LT(table.bytes(), Table::kPageRecords * sizeof(Table::Entry));
-}
-
-TEST(ArenaTableTest, UnsortedRecordsIsAPermutationOfSnapshot) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
+TEST(ExpiringTableTest, UnsortedRecordsIsAPermutationOfSnapshot) {
+  L1Table table;
   Mix64 rng{5};
-  for (int i = 0; i < 700; ++i) table.upsert(rng.next() % 900, rng.next());
-  for (int i = 0; i < 300; ++i) table.erase(rng.next() % 900);
-  std::vector<std::uint64_t> dense = table.unsorted_records();
-  std::vector<std::uint64_t> sorted = table.snapshot();
+  for (int i = 0; i < 700; ++i) {
+    table.record(l1_record(static_cast<std::uint32_t>(rng.next() % 900),
+                           SimTime::from_us(static_cast<std::int64_t>(
+                               rng.next() % 1000000))));
+  }
+  for (int i = 0; i < 300; ++i) {
+    table.erase(VehicleId{static_cast<std::uint32_t>(rng.next() % 900)});
+  }
+  const auto keys = [](const std::vector<L1Record>& recs) {
+    std::vector<std::uint32_t> out;
+    for (const L1Record& r : recs) out.push_back(r.vehicle.value());
+    return out;
+  };
+  std::vector<std::uint32_t> dense = keys(table.unsorted_records());
+  const std::vector<std::uint32_t> sorted = keys(table.snapshot());
   ASSERT_EQ(dense.size(), table.size());
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
   std::sort(dense.begin(), dense.end());
-  std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(dense, sorted);
 }
 
@@ -230,50 +265,6 @@ TEST(ExpiryWheelTest, DrainMatchesFullScanPredicate) {
   }
 }
 
-// --- LocationTable purge = wheel drain + live-record confirmation ----------
-
-TEST(LocationTableTest, WheelPurgeMatchesFullScanEviction) {
-  // End-to-end equivalence on the real table: record() overwrites make wheel
-  // items stale, and purge() must still evict exactly the records the old
-  // O(table) scan would have (time + expiry < now).
-  L1Table table;
-  std::map<VehicleId, L1Record> model;
-  Mix64 rng{21};
-  SimTime now = SimTime::from_sec(0.0);
-  const SimTime expiry = SimTime::from_sec(132.0);
-  for (int round = 0; round < 120; ++round) {
-    now = now + SimTime::from_sec(10.0);
-    for (int i = 0; i < 50; ++i) {
-      L1Record rec;
-      rec.vehicle = VehicleId{static_cast<std::uint32_t>(rng.next() % 400)};
-      // Timestamps jitter up to 200 s behind `now`: some records arrive
-      // already expired, some lose the newest-wins race.
-      rec.time = now - SimTime::from_ms(static_cast<double>(rng.next() % 200000));
-      rec.pos = Vec2{static_cast<double>(round), static_cast<double>(i)};
-      table.record(rec);
-      const auto it = model.find(rec.vehicle);
-      if (it == model.end() || it->second.time < rec.time) {
-        model[rec.vehicle] = rec;
-      }
-    }
-    table.purge(now, expiry);
-    for (auto it = model.begin(); it != model.end();) {
-      if (it->second.time < now - expiry) {
-        it = model.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    ASSERT_EQ(table.size(), model.size()) << "round " << round;
-    for (const auto& [vehicle, rec] : model) {
-      const L1Record* got = table.find(vehicle);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(got->time.us(), rec.time.us());
-      EXPECT_EQ(got->pos.x, rec.pos.x);
-    }
-  }
-}
-
 // --- SmallFlatMap / SortedIdSet -------------------------------------------
 
 TEST(SmallFlatMapTest, InsertFindEraseMatchesMap) {
@@ -339,11 +330,6 @@ TEST(MemoryAccountingTest, TableBytesGrowWithPopulation) {
   EXPECT_GT(table.bytes(), empty_bytes);
   // 5000 records must account for at least their payload bytes.
   EXPECT_GE(table.bytes(), 5000 * sizeof(L1Record));
-
-  FlatTable<VehicleId, int> flat;
-  EXPECT_EQ(flat.bytes(), 0u);
-  flat.upsert(VehicleId{std::uint32_t{1}}, 7);
-  EXPECT_GT(flat.bytes(), 0u);
 }
 
 }  // namespace

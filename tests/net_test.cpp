@@ -649,6 +649,44 @@ TEST(BeaconTest, NeighborsLearnedWithinOneInterval) {
   EXPECT_GT(beacons.beacons_sent(), 0u);
 }
 
+TEST(BeaconTest, NeighborsOfListsAscendingIdsWhateverTheHearingOrder) {
+  // GPSR's tie-breaks rely on neighbors_of returning ascending NodeIds; the
+  // table itself keeps records in the order they were first heard.
+  Simulator sim(22);
+  StaticNet net(sim, lossless());
+  const NodeId a = net.add({0, 0});
+  for (int i = 1; i <= 5; ++i) net.add({60.0 * i, 0});
+  BeaconConfig cfg;
+  cfg.enabled = true;
+  cfg.interval_sec = 1.0;
+  cfg.timeout_sec = 3.0;
+  BeaconService beacons(net.medium(), net.registry(), cfg);
+  std::vector<NodeId> heard_order;
+  std::vector<BeaconService::Neighbor> out;
+  for (int ms = 1; ms <= 1500; ++ms) {
+    sim.run_until(SimTime::from_ms(ms));
+    out.clear();
+    beacons.neighbors_of(a, &out);
+    for (const BeaconService::Neighbor& n : out) {
+      if (std::find(heard_order.begin(), heard_order.end(), n.id) ==
+          heard_order.end()) {
+        heard_order.push_back(n.id);
+      }
+    }
+  }
+  ASSERT_EQ(heard_order.size(), 5u);
+  ASSERT_FALSE(std::is_sorted(heard_order.begin(), heard_order.end()))
+      << "precondition: this seed must hear neighbors out of id order";
+  out.clear();
+  beacons.neighbors_of(a, &out);
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end(),
+                             [](const BeaconService::Neighbor& x,
+                                const BeaconService::Neighbor& y) {
+                               return x.id < y.id;
+                             }));
+}
+
 TEST(BeaconTest, StaleNeighborsExpire) {
   Simulator sim(21);
   NodeRegistry reg;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "harness/world.h"
 #include "rlsmp/cell_grid.h"
+#include "rlsmp/rlsmp_agent.h"
+#include "rlsmp/rlsmp_service.h"
 
 namespace hlsrg {
 namespace {
@@ -156,6 +159,31 @@ TEST(RlsmpServiceTest, SpiralBatchingSharesHops) {
       static_cast<double>(ms.queries_issued);
 
   EXPECT_LT(per_query_burst, per_query_sparse);
+}
+
+TEST(RlsmpServiceTest, LeavingTheLeaderRegionReleasesTables) {
+  // Tables are written only inside a leader region, and an ex-leader's
+  // tables are released, so a vehicle outside one holds no table memory.
+  ScenarioConfig cfg = paper_scenario(300, 23);
+  World world(cfg, Protocol::kRlsmp);
+  auto& svc = dynamic_cast<RlsmpService&>(world.service());
+  const auto n = static_cast<std::size_t>(cfg.vehicles);
+  std::vector<bool> held(n, false);
+  std::size_t left_with_records = 0;
+  for (int t = 1; t <= 120; ++t) {
+    world.run_until(SimTime::from_sec(t));
+    for (std::size_t i = 0; i < n; ++i) {
+      const RlsmpVehicleAgent& agent = svc.vehicle_agent(VehicleId{i});
+      if (agent.in_leader_region()) {
+        held[i] = held[i] || agent.cell_table_size() > 0;
+        continue;
+      }
+      ASSERT_EQ(agent.table_bytes(), 0u) << "vehicle " << i << " at " << t;
+      if (held[i]) ++left_with_records;
+      held[i] = false;
+    }
+  }
+  EXPECT_GT(left_with_records, 0u);
 }
 
 TEST(RlsmpServiceTest, DeterministicPerSeed) {
