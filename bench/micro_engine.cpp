@@ -37,7 +37,9 @@ int main(int argc, char** argv) {
     const EngineStats& e = set.engine_total;
     table.add_row({p.label, std::to_string(e.events_processed),
                    fmt_double(e.events_per_sec(), 0),
-                   fmt_double(e.broadcasts_per_sec(), 0),
+                   fmt_double(static_cast<double>(set.merged.radio_broadcasts) /
+                                  e.wall_clock_sec,
+                              0),
                    fmt_double(static_cast<double>(e.peak_rss_bytes) / 1e6, 1)});
   }
   std::fputs(table.render().c_str(), stdout);

@@ -43,10 +43,10 @@ relative gate. Improvements and sub-threshold drifts are reported in
 --verbose mode only. Exit status: 0 = no regression, 1 = regression(s),
 2 = usage/schema error.
 
-The nested "observability" object (counters / histograms / time series from
-trace/metrics.h) is carried through reports untouched and never compared —
-its fields duplicate information already gated via "metrics"/"latency" or
-are diagnostic time series with no stable baseline.
+The nested "observability" object (hop-count histograms and time series
+from trace/metrics.h) is carried through reports untouched and never
+compared: it holds diagnostics with no stable baseline. Every counter and
+the query latency live in "metrics"/"latency", which are gated.
 """
 
 import argparse

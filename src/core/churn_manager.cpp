@@ -37,18 +37,15 @@ ChurnManager::ChurnManager(HlsrgService& service)
   // Initial staffing, in RsuId order. Roles with no parked candidate start
   // vacant: agent down, wired node down, queries ride the failover ladder.
   // Initial binds are not departures, so the role_* conservation counters
-  // stay untouched; the obs registry records the staffing split instead.
-  MetricsRegistry& obs = svc_->sim().observability();
+  // stay untouched.
   for (std::size_t i = 0; i < directory_.role_count(); ++i) {
     const RsuId role{i};
     const VehicleId host = elect_host(role, VehicleId{});
     if (host.valid()) {
       directory_.bind_vehicle(role, host);
-      obs.add("churn.initial_hosts");
     } else {
       directory_.vacate(role);
       take_role_down(role);
-      obs.add("churn.initial_vacant");
     }
   }
 }
@@ -88,7 +85,6 @@ void ChurnManager::on_departed(VehicleId v, bool abrupt) {
     ++m.role_vacancies;
     m.handoff_records_expired += n;
     take_role_down(role);
-    svc_->sim().observability().add("churn.abrupt_departures");
     schedule_fill_sweep(svc_->cfg().churn_detect_delay);
     return;
   }
@@ -185,7 +181,6 @@ void ChurnManager::send_handoff_radio(
   ++m.handoffs_sent;
   m.handoff_records_sent += n;
   m.handoff_records_in_flight += n;
-  svc_->sim().observability().add("churn.handoffs_radio");
   const Packet pkt =
       svc_->make_packet(PacketKind::kRoleHandoff, from_node, payload);
   // The MAC retries settle asynchronously: delivery books the records at the
@@ -239,7 +234,6 @@ void ChurnManager::send_handoff_wired(
   ++m.handoffs_sent;
   m.handoff_records_sent += n;
   m.handoff_records_in_flight += n;
-  svc_->sim().observability().add("churn.handoffs_wired");
   const Packet pkt =
       svc_->make_packet(PacketKind::kRoleHandoff, r.node, payload);
   if (!svc_->wired().send(r.node, target, pkt,
@@ -269,7 +263,6 @@ void ChurnManager::fill_sweep() {
     ++m.role_fills;
     count_migration(svc_->sim(), svc_->rsus()->rsu(role).pos);
     install_host(role, host);
-    svc_->sim().observability().add("churn.role_fills");
   }
 }
 

@@ -1,5 +1,7 @@
 #include "core/location_service.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace hlsrg {
@@ -13,11 +15,8 @@ QueryTracker::QueryId QueryTracker::issue(VehicleId src, VehicleId dst) {
   records_.back().span = sim_->begin_span(
       SpanKind::kQuery, src.value(), dst.value(), Vec2{}, id);
   sim_->trace_event({{}, TraceEventKind::kQueryIssued, src, dst, {}, id});
-  const std::size_t out = records_.size() - settled_count_;
-  if (out > peak_outstanding_) {
-    peak_outstanding_ = out;
-    sim_->metrics().peak_outstanding = out;
-  }
+  std::uint64_t& peak = sim_->metrics().peak_outstanding;
+  peak = std::max<std::uint64_t>(peak, records_.size() - settled_count_);
   return id;
 }
 
@@ -31,7 +30,6 @@ void QueryTracker::succeed(QueryId id) {
   r.completed = sim_->now();
   sim_->metrics().queries_succeeded++;
   sim_->metrics().query_latency.add(sim_->now() - r.issued);
-  delay_hist_->record((sim_->now() - r.issued).us());
   if (TraceLog* trace = sim_->trace()) {
     trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kOk);
   }

@@ -22,9 +22,7 @@ struct ServiceTierConfig;
 // Tracks outstanding queries and settles them into RunMetrics exactly once.
 class QueryTracker {
  public:
-  explicit QueryTracker(Simulator& sim)
-      : sim_(&sim),
-        delay_hist_(sim.observability().histogram("query.delay_us")) {}
+  explicit QueryTracker(Simulator& sim) : sim_(&sim) {}
 
   using QueryId = std::uint32_t;
 
@@ -32,7 +30,7 @@ class QueryTracker {
   QueryId issue(VehicleId src, VehicleId dst);
 
   // Marks success (idempotent; late duplicate ACKs are ignored). Records the
-  // latency from issue to now.
+  // latency from issue to now in metrics.query_latency.
   void succeed(QueryId id);
 
   // Marks failure (idempotent; a success beats a later failure and vice
@@ -53,10 +51,6 @@ class QueryTracker {
   [[nodiscard]] SimTime issued_at(QueryId id) const;
   // Settle time; zero for unsettled queries.
   [[nodiscard]] SimTime completed_at(QueryId id) const;
-  // Unsettled-query high-water mark over the run so far.
-  [[nodiscard]] std::size_t peak_outstanding() const {
-    return peak_outstanding_;
-  }
   // The query's root span (kNoSpan when tracing is off); protocol timers use
   // this to re-anchor async continuations via SpanScope.
   [[nodiscard]] SpanId span_of(QueryId id) const;
@@ -72,18 +66,15 @@ class QueryTracker {
     SpanId span = kNoSpan;
   };
   Simulator* sim_;
-  Histogram* delay_hist_;  // always-on "query.delay_us"
   std::vector<Record> records_;
   // outstanding() is on the admission hot path (every submit under load), so
   // settles are counted as they happen instead of rescanning records_.
   std::size_t settled_count_ = 0;
-  std::size_t peak_outstanding_ = 0;
 };
 
-// Structured observability snapshot of a LocationService: table occupancy
-// plus the service-tier counters. One value type instead of the old
-// table_records() grab-bag so adding a field is a compile-visible change at
-// every sampler, not a silently-zero default.
+// End-of-run protocol-state footprint of a LocationService. Service-tier
+// counters (cache, batching, shedding) are not repeated here: RunMetrics
+// owns them.
 struct ServiceStats {
   // Location-table entries currently held across the protocol's servers
   // (vehicles + RSUs); 0 for protocols that keep no tables.
@@ -93,15 +84,6 @@ struct ServiceStats {
   // overhead). Feeds the bytes-per-vehicle memory gate in the bench
   // pipeline; process peak RSS is tracked separately by the runner.
   std::size_t table_bytes = 0;
-  // Hot-destination cache traffic (HLSRG RSU tier; 0 elsewhere).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_invalidations = 0;
-  // Batching-window traffic.
-  std::uint64_t batched_queries = 0;
-  std::uint64_t batch_flushes = 0;
-  // Queries and retries refused by admission control.
-  std::uint64_t shed_queries = 0;
 };
 
 // The public face of a location service protocol.
@@ -119,8 +101,7 @@ class LocationService {
 
   [[nodiscard]] virtual QueryTracker& tracker() = 0;
 
-  // Observability snapshot: table occupancy plus service-tier counters.
-  // Sampled periodically by the World; the default reports an empty service.
+  // Table occupancy and footprint; the default reports an empty service.
   [[nodiscard]] virtual ServiceStats service_stats() const { return {}; }
 
   // Current position of a vehicle as the protocol sees it; region telemetry

@@ -72,7 +72,6 @@ void HlsrgRsuAgent::on_receive(const Packet& packet, NodeId /*from*/) {
     // Channel-level accounting already settled at the sender, so this is a
     // sink-side suppression, not a ledger event.
     svc_->metrics().rsu_suppressed++;
-    svc_->sim().observability().add("fault.rsu_suppressed");
     if (packet.kind == PacketKind::kRoleHandoff) {
       // The handoff's records were still in flight; the successor crashed
       // (or was taken down) before they landed. Settle them as expired so
@@ -233,7 +232,6 @@ void HlsrgRsuAgent::schedule_lookup(std::function<void()> lookup) {
       // Crashed while the lookup waited in the work queue: the request dies
       // here; the source's ACK-timeout retry covers it.
       svc_->metrics().rsu_suppressed++;
-      svc_->sim().observability().add("fault.rsu_suppressed");
       return;
     }
     lookup();
@@ -243,7 +241,6 @@ void HlsrgRsuAgent::schedule_lookup(std::function<void()> lookup) {
 void HlsrgRsuAgent::invalidate_cache(VehicleId vehicle, SimTime fresh_time) {
   if (cache_.invalidate_if_stale(vehicle, fresh_time)) {
     svc_->metrics().cache_invalidations++;
-    svc_->sim().observability().add("service.cache_invalidations");
   }
 }
 
@@ -305,7 +302,6 @@ void HlsrgRsuAgent::flush_batch(NodeId dest, VehicleId target) {
   payload->queries = std::move(batch.queries);
   svc_->metrics().batch_flushes++;
   svc_->metrics().batched_queries += payload->queries.size();
-  svc_->sim().observability().add("service.batch_flushes");
   svc_->sim().end_span(batch.span, SpanStatus::kOk,
                        svc_->registry().position(node_),
                        static_cast<std::int32_t>(payload->queries.size()));
@@ -444,7 +440,6 @@ void HlsrgRsuAgent::handle_query_l2(const QueryPayload& query) {
     if (const L1Record* rec = cache_.probe(query.target, svc_->sim().now())) {
       svc_->metrics().cache_hits++;
       svc_->sim().count_region_cache_hit(here);
-      svc_->sim().observability().add("service.cache_hits");
       svc_->sim().instant_span(SpanKind::kCacheHit, SpanStatus::kOk,
                                node_.value(), query.target.value(), here,
                                query.query_id, 2);
@@ -490,7 +485,6 @@ void HlsrgRsuAgent::escalate_to_l3_by_radio(const QueryPayload& query) {
 void HlsrgRsuAgent::escalate_by_radio(const Packet& pkt, NodeId target,
                                       const char* route) {
   svc_->metrics().query_failovers++;
-  svc_->sim().observability().add("query.failovers");
   svc_->sim().instant_span(SpanKind::kFailover, SpanStatus::kOk, node_.value(),
                            target.value(), svc_->registry().position(node_),
                            kNoQuery, static_cast<int>(level_), route);
@@ -520,7 +514,6 @@ void HlsrgRsuAgent::handle_query_l3(const QueryPayload& query) {
     if (const L1Record* rec = cache_.probe(query.target, svc_->sim().now())) {
       svc_->metrics().cache_hits++;
       svc_->sim().count_region_cache_hit(here);
-      svc_->sim().observability().add("service.cache_hits");
       svc_->sim().instant_span(SpanKind::kCacheHit, SpanStatus::kOk,
                                node_.value(), query.target.value(), here,
                                query.query_id, 3);

@@ -436,7 +436,6 @@ void HlsrgVehicleAgent::send_request(QueryId qid, VehicleId target,
 
   if (attempt > 1) {
     svc_->metrics().query_retries++;
-    svc_->sim().observability().add("query.retries");
     svc_->sim().instant_span(SpanKind::kRetry, SpanStatus::kOk,
                              vehicle_.value(), target.value(), my_pos, qid, -1,
                              to_l1_center ? "center" : "l3_direct", attempt);

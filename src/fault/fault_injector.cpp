@@ -17,8 +17,7 @@ FaultInjector::FaultInjector(Simulator& sim, const FaultPlan& plan,
       rng_(plan.fault_seed != 0 ? Rng(plan.fault_seed)
                                 : sim.fault_rng().split(RngStreamId::kFault)),
       active_(plan_.windows.size(), 0),
-      cut_links_(plan_.windows.size()),
-      edges_counter_(&sim.observability().counter("fault.window_edges")) {}
+      cut_links_(plan_.windows.size()) {}
 
 void FaultInjector::arm(SimTime horizon) {
   for (std::size_t i = 0; i < plan_.windows.size(); ++i) {
@@ -91,7 +90,6 @@ void FaultInjector::refresh_loss_zones() {
 void FaultInjector::apply(std::size_t window_index, bool begin) {
   const FaultWindow& w = plan_.windows[window_index];
   active_[window_index] = begin ? 1 : 0;
-  ++*edges_counter_;
   const bool up = !begin;
   switch (w.kind) {
     case FaultKind::kRsuCrash:

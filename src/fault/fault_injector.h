@@ -76,7 +76,6 @@ class FaultInjector {
   std::vector<char> active_;  // per-window active flag
   // Links a partition window took down, to restore at its end edge.
   std::vector<std::vector<std::pair<NodeId, NodeId>>> cut_links_;
-  std::uint64_t* edges_counter_;  // "fault.window_edges"
 };
 
 }  // namespace hlsrg

@@ -326,11 +326,6 @@ void World::finalize_fault_summary() {
       m.recovery_windows++;
     }
   }
-  MetricsRegistry& obs = sim_.observability();
-  obs.set_gauge("fault.queries_stranded",
-                static_cast<double>(m.queries_stranded));
-  obs.set_gauge("fault.recovery_ms", m.recovery_ms());
-  obs.set_gauge("fault.availability", m.availability());
 }
 
 void World::schedule_sampler() {
@@ -338,6 +333,7 @@ void World::schedule_sampler() {
   // read state only — no RNG draws — so enabling them cannot perturb the
   // event stream or the determinism digests.
   sim_.schedule_after(cfg_.sample_interval, [this] {
+    ProfileScope profile(sim_.profiler(), "sampler");
     MetricsRegistry& obs = sim_.observability();
     const double now_sec = sim_.now().sec();
     const RunMetrics& m = sim_.metrics();
@@ -346,22 +342,18 @@ void World::schedule_sampler() {
                                    m.queries_failed));
     obs.sample("world.pending_events", now_sec,
                static_cast<double>(sim_.queue().size()));
-    const ServiceStats stats = service_->service_stats();
-    obs.sample("world.table_records", now_sec,
-               static_cast<double>(stats.table_records));
     if (cfg_.service.enabled) {
       obs.sample("service.cache_hits", now_sec,
-                 static_cast<double>(stats.cache_hits));
+                 static_cast<double>(m.cache_hits));
       obs.sample("service.batch_flushes", now_sec,
-                 static_cast<double>(stats.batch_flushes));
+                 static_cast<double>(m.batch_flushes));
       obs.sample("service.shed_queries", now_sec,
-                 static_cast<double>(stats.shed_queries));
-      obs.sample("service.outstanding", now_sec,
-                 static_cast<double>(service_->tracker().outstanding()));
+                 static_cast<double>(m.queries_shed + m.retries_shed));
     }
     if (fault_ != nullptr) {
       // Availability over time: the success rate among settled queries so
-      // far. The chaos benches read the dip and recovery off this series.
+      // far, for plotting the dip and recovery around fault windows. The
+      // chaos benches report the derived `availability` and `recovery_ms`.
       const std::uint64_t settled = m.queries_succeeded + m.queries_failed;
       obs.sample("avail.success_rate", now_sec,
                  settled == 0
@@ -390,42 +382,16 @@ void World::schedule_sampler() {
   });
 }
 
-void World::finalize_service_summary() {
-  if (!cfg_.service.enabled) return;
-  const RunMetrics& m = sim_.metrics();
-  MetricsRegistry& obs = sim_.observability();
-  obs.set_gauge("service.queries_offered",
-                static_cast<double>(m.queries_offered));
-  obs.set_gauge("service.queries_shed", static_cast<double>(m.queries_shed));
-  obs.set_gauge("service.retries_shed", static_cast<double>(m.retries_shed));
-  obs.set_gauge("service.cache_hits", static_cast<double>(m.cache_hits));
-  obs.set_gauge("service.batched_queries",
-                static_cast<double>(m.batched_queries));
-  obs.set_gauge("service.peak_outstanding",
-                static_cast<double>(m.peak_outstanding));
-  obs.set_gauge("service.served_rate", m.served_rate());
-}
-
 void World::finalize_churn_summary() {
   if (protocol_ != Protocol::kHlsrg) return;
   ChurnManager* churn = static_cast<HlsrgService*>(service_.get())->churn();
   if (churn == nullptr) return;
   churn->expire_in_flight();
-  const RunMetrics& m = sim_.metrics();
-  MetricsRegistry& obs = sim_.observability();
-  obs.set_gauge("churn.role_departures",
-                static_cast<double>(m.role_departures));
-  obs.set_gauge("churn.role_elections", static_cast<double>(m.role_elections));
-  obs.set_gauge("churn.role_vacancies", static_cast<double>(m.role_vacancies));
-  obs.set_gauge("churn.role_fills", static_cast<double>(m.role_fills));
-  obs.set_gauge("churn.handoff_record_delivery_rate",
-                m.handoff_record_delivery_rate());
 }
 
 const RunMetrics& World::run() {
   sim_.run_until(cfg_.end_time());
   finalize_fault_summary();
-  finalize_service_summary();
   finalize_churn_summary();
 #ifdef HLSRG_AUDIT_ENABLED
   audit_enforce();

@@ -11,9 +11,7 @@ namespace hlsrg {
 WiredNetwork::WiredNetwork(Simulator& sim, const NodeRegistry& registry,
                            WiredConfig cfg)
     : sim_(&sim), registry_(&registry), cfg_(cfg),
-      hops_hist_(sim.observability().histogram("wired.message_hops")),
-      unreachable_counter_(&sim.observability().counter("wired.unreachable")) {
-}
+      hops_hist_(sim.observability().histogram("wired.message_hops")) {}
 
 void WiredNetwork::connect(NodeId a, NodeId b) {
   HLSRG_CHECK(a.valid() && b.valid() && a != b);
@@ -86,7 +84,6 @@ bool WiredNetwork::send(NodeId from, NodeId to, const Packet& pkt,
     if (regions != nullptr) {
       regions->add_wired_dropped(regions->region_of(registry_->position(from)));
     }
-    ++*unreachable_counter_;
     return false;
   }
   sim_->metrics().wired_messages += static_cast<std::uint64_t>(hops);

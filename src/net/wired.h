@@ -36,7 +36,7 @@ class WiredNetwork {
   // invokes to's PacketSink after hops * link_latency. Returns false if no
   // wired path exists (disjoint graph, cut link, or down endpoint); the
   // failed send is still offered+dropped in the ledger and counted in
-  // RunMetrics::wired_drops and the "wired.unreachable" counter.
+  // RunMetrics::wired_drops.
   bool send(NodeId from, NodeId to, const Packet& pkt,
             std::uint64_t* tx_counter = nullptr);
 
@@ -80,8 +80,6 @@ class WiredNetwork {
   WiredConfig cfg_;
   // Always-on backhaul path-length histogram ("wired.message_hops").
   Histogram* hops_hist_;
-  // Always-on count of sends lost for lack of a wired path.
-  std::uint64_t* unreachable_counter_;
   std::unordered_map<NodeId, std::vector<NodeId>> adjacency_;
   std::unordered_set<std::uint64_t> down_nodes_;  // NodeId::value()
   std::unordered_set<std::uint64_t> down_links_;  // link_key()

@@ -290,7 +290,7 @@ void latency_from_json(const JsonValue& v, LatencySummary* l) {
   l->p99_ms = v.at("p99_ms").as_double();
 }
 
-JsonValue engine_to_json(const EngineStats& e) {
+JsonValue engine_to_json(const EngineStats& e, const RunMetrics* run) {
   JsonValue o = JsonValue::object();
   o.set("events_processed", e.events_processed);
   o.set("events_scheduled", e.events_scheduled);
@@ -298,13 +298,20 @@ JsonValue engine_to_json(const EngineStats& e) {
   o.set("sim_time_sec", e.sim_time_sec);
   o.set("wall_clock_sec", e.wall_clock_sec);
   o.set("events_per_sec", e.events_per_sec());
-  o.set("broadcasts", e.broadcasts);
-  o.set("broadcasts_per_sec", e.broadcasts_per_sec());
+  if (run != nullptr) {
+    o.set("broadcasts", run->radio_broadcasts);
+    o.set("broadcasts_per_sec",
+          e.wall_clock_sec > 0.0
+              ? static_cast<double>(run->radio_broadcasts) / e.wall_clock_sec
+              : 0.0);
+  }
   o.set("peak_rss_bytes", e.peak_rss_bytes);
   o.set("table_bytes", e.table_bytes);
   o.set("trace_events_dropped", e.trace_events_dropped);
   o.set("trace_spans_dropped", e.trace_spans_dropped);
-  o.set("peak_outstanding_queries", e.peak_outstanding_queries);
+  if (run != nullptr) {
+    o.set("peak_outstanding_queries", run->peak_outstanding);
+  }
   return o;
 }
 
@@ -321,18 +328,11 @@ void engine_from_json(const JsonValue& v, EngineStats* e) {
     e->trace_spans_dropped = v.at("trace_spans_dropped").as_uint64();
   }
   // Added after v1 reports shipped; absent in older files.
-  if (v.contains("broadcasts")) {
-    e->broadcasts = v.at("broadcasts").as_uint64();
-  }
   if (v.contains("peak_rss_bytes")) {
     e->peak_rss_bytes = v.at("peak_rss_bytes").as_uint64();
   }
   if (v.contains("table_bytes")) {
     e->table_bytes = v.at("table_bytes").as_uint64();
-  }
-  if (v.contains("peak_outstanding_queries")) {
-    e->peak_outstanding_queries =
-        v.at("peak_outstanding_queries").as_uint64();
   }
 }
 
@@ -391,7 +391,7 @@ JsonValue RunReport::to_json() const {
   o.set("config", scenario_to_json(config));
   o.set("metrics", metrics_to_json(metrics));
   o.set("latency", latency_to_json(latency));
-  o.set("engine", engine_to_json(engine));
+  o.set("engine", engine_to_json(engine, &metrics));
   if (!observability.is_null()) o.set("observability", observability);
   if (!profile.is_null()) o.set("profile", profile);
   return o;

@@ -40,8 +40,8 @@ struct RunReport {
   LatencySummary latency;
   EngineStats engine;
   // Optional observability payload (trace/metrics.h registry_to_json):
-  // counters, gauges, latency histograms, and time series. Null when the run
-  // produced none; carried through to_json/from_json verbatim.
+  // hop-count histograms and time series. Null when the run produced none;
+  // carried through to_json/from_json verbatim.
   JsonValue observability;
   // Optional wall-clock phase profile (obs/profiler.h to_json). Null unless
   // the run profiled; carried through verbatim like `observability`.
@@ -68,7 +68,11 @@ void scenario_from_json(const JsonValue& v, ScenarioConfig* cfg);
 void metrics_from_json(const JsonValue& v, RunMetrics* m);
 [[nodiscard]] JsonValue latency_to_json(const LatencySummary& l);
 void latency_from_json(const JsonValue& v, LatencySummary* l);
-[[nodiscard]] JsonValue engine_to_json(const EngineStats& e);
+// `run`, when given, adds the keys the engine block reports from RunMetrics
+// (broadcasts, broadcasts_per_sec, peak_outstanding_queries); per-replica
+// entries pass null and carry engine-only fields.
+[[nodiscard]] JsonValue engine_to_json(const EngineStats& e,
+                                       const RunMetrics* run = nullptr);
 void engine_from_json(const JsonValue& v, EngineStats* e);
 
 // The headline derived metrics every figure plots, as a JSON object:

@@ -66,15 +66,12 @@ void EngineStats::merge(const EngineStats& other) {
   events_processed += other.events_processed;
   events_scheduled += other.events_scheduled;
   peak_queue_depth = std::max(peak_queue_depth, other.peak_queue_depth);
-  broadcasts += other.broadcasts;
   peak_rss_bytes = std::max(peak_rss_bytes, other.peak_rss_bytes);
   // Replicas each hold a full copy of the world; the max is the footprint a
   // single replica needs, which is what the memory gate compares.
   table_bytes = std::max(table_bytes, other.table_bytes);
   trace_events_dropped += other.trace_events_dropped;
   trace_spans_dropped += other.trace_spans_dropped;
-  peak_outstanding_queries =
-      std::max(peak_outstanding_queries, other.peak_outstanding_queries);
   sim_time_sec += other.sim_time_sec;
   wall_clock_sec += other.wall_clock_sec;
 }

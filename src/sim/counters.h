@@ -1,7 +1,7 @@
 // Named counters and latency accumulators for per-run metrics.
 //
 // Every protocol-relevant transmission increments a counter here; the bench
-// harness reads the registry after a run to produce the paper's figures.
+// harness reads RunMetrics after a run to produce the paper's figures.
 // Counters are plain members (not a string-keyed map) so the hot path is an
 // increment, and so the set of metrics is a compile-time-visible contract.
 #pragma once
@@ -122,14 +122,11 @@ struct EngineStats {
   std::uint64_t events_processed = 0;   // events dispatched by the queue
   std::uint64_t events_scheduled = 0;   // events ever scheduled
   std::uint64_t peak_queue_depth = 0;   // pending-event high-water mark
-  std::uint64_t broadcasts = 0;         // radio broadcast transmissions
   std::uint64_t peak_rss_bytes = 0;     // process RSS high-water mark
   std::uint64_t table_bytes = 0;        // protocol-table + registry heap
                                         // bytes at end of run
   std::uint64_t trace_events_dropped = 0;  // trace records past the cap
   std::uint64_t trace_spans_dropped = 0;   // spans past the cap
-  std::uint64_t peak_outstanding_queries = 0;  // unsettled-query high-water
-                                               // mark (admission pressure)
   double sim_time_sec = 0.0;            // simulated horizon covered
   double wall_clock_sec = 0.0;          // host time spent running the replica
 
@@ -137,11 +134,6 @@ struct EngineStats {
   [[nodiscard]] double events_per_sec() const {
     return wall_clock_sec > 0.0
                ? static_cast<double>(events_processed) / wall_clock_sec
-               : 0.0;
-  }
-  [[nodiscard]] double broadcasts_per_sec() const {
-    return wall_clock_sec > 0.0
-               ? static_cast<double>(broadcasts) / wall_clock_sec
                : 0.0;
   }
 

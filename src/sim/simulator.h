@@ -75,8 +75,6 @@ class Simulator {
     s.events_processed = queue_.events_dispatched();
     s.events_scheduled = queue_.events_scheduled();
     s.peak_queue_depth = queue_.peak_depth();
-    s.broadcasts = metrics_.radio_broadcasts;
-    s.peak_outstanding_queries = metrics_.peak_outstanding;
     s.sim_time_sec = queue_.now().sec();
     if (trace_ != nullptr) {
       s.trace_events_dropped = trace_->dropped_events();

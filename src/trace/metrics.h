@@ -1,15 +1,16 @@
-// Named metrics: counters, gauges, log-bucketed latency histograms, and
-// periodic time series.
+// Named diagnostics: log-bucketed histograms and periodic time series.
+// Run counters and query latency live in RunMetrics (sim/counters.h); the
+// registry holds only distributions and time axes RunMetrics has no field
+// for.
 //
 // The registry is the always-on companion to the optional TraceLog: feeding
 // it draws no randomness and allocates only on first use of a name, so it is
 // safe to populate unconditionally without perturbing determinism digests.
 // Names use a dotted lowercase scheme, "<subsystem>.<quantity>[_<unit>]"
-// (e.g. "query.delay_us", "gpsr.route_hops", "world.live_queries") — see
-// DESIGN.md §8. Storage is std::map so iteration (and therefore JSON
-// serialization) is sorted and deterministic, and node addresses are stable:
-// hot paths cache the Histogram* once instead of re-hashing the name per
-// sample.
+// (e.g. "gpsr.route_hops", "world.live_queries") — see DESIGN.md §8.
+// Storage is std::map so iteration (and therefore JSON serialization) is
+// sorted and deterministic, and node addresses are stable: hot paths cache
+// the Histogram* once instead of re-hashing the name per sample.
 #pragma once
 
 #include <array>
@@ -90,15 +91,6 @@ struct TimeSeries {
 
 class MetricsRegistry {
  public:
-  // Monotonic named counter; returns a stable reference.
-  std::uint64_t& counter(const std::string& name) { return counters_[name]; }
-  void add(const std::string& name, std::uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
-
-  // Last-write-wins named gauge.
-  void set_gauge(const std::string& name, double v) { gauges_[name] = v; }
-
   // Named histogram; the returned pointer stays valid for the registry's
   // lifetime (std::map nodes don't move) — cache it on hot paths.
   Histogram* histogram(const std::string& name) { return &histograms_[name]; }
@@ -108,12 +100,6 @@ class MetricsRegistry {
     series_[name].sample(t_sec, v);
   }
 
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, double>& gauges() const {
-    return gauges_;
-  }
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
@@ -121,20 +107,18 @@ class MetricsRegistry {
     return series_;
   }
 
-  // Cross-replica fold: counters sum, gauges keep the max, histograms merge
-  // bucket-wise, series keep the first replica's samples (per-replica time
-  // axes don't concatenate meaningfully).
+  // Cross-replica fold: histograms merge bucket-wise, series keep the first
+  // replica's samples (per-replica time axes don't concatenate
+  // meaningfully).
   void merge(const MetricsRegistry& other);
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, TimeSeries> series_;
 };
 
-// JSON shape (report/json.h): {"counters": {...}, "gauges": {...},
-// "histograms": {name: {count,mean,min,max,p50,p90,p95,p99,buckets}},
+// JSON shape (report/json.h):
+// {"histograms": {name: {count,mean,min,max,p50,p90,p95,p99,buckets}},
 // "series": {name: {"t_sec": [...], "v": [...]}}.
 [[nodiscard]] JsonValue registry_to_json(const MetricsRegistry& reg);
 

@@ -93,17 +93,11 @@ TEST(HistogramTest, MergeMatchesPooledRecording) {
 
 TEST(MetricsRegistryTest, MergeSemantics) {
   MetricsRegistry a, b;
-  a.add("x.count", 2);
-  b.add("x.count", 3);
-  a.set_gauge("x.gauge", 1.0);
-  b.set_gauge("x.gauge", 4.0);
   a.histogram("x.h")->record(10);
   b.histogram("x.h")->record(20);
   a.sample("x.s", 1.0, 5.0);
   b.sample("x.s", 1.0, 9.0);
   a.merge(b);
-  EXPECT_EQ(a.counters().at("x.count"), 5u);
-  EXPECT_EQ(a.gauges().at("x.gauge"), 4.0);       // max wins
   EXPECT_EQ(a.histograms().at("x.h").count(), 2u);  // pooled
   EXPECT_EQ(a.series().at("x.s").values.size(), 1u);  // first replica kept
   EXPECT_EQ(a.series().at("x.s").values[0], 5.0);
@@ -111,15 +105,12 @@ TEST(MetricsRegistryTest, MergeSemantics) {
 
 TEST(MetricsRegistryTest, JsonShape) {
   MetricsRegistry reg;
-  reg.add("a.count", 7);
-  reg.set_gauge("a.gauge", 2.5);
-  reg.histogram("a.delay_us")->record(100);
+  reg.histogram("a.hops")->record(100);
   reg.sample("a.series", 5.0, 3.0);
   const JsonValue v = registry_to_json(reg);
   ASSERT_TRUE(v.is_object());
-  EXPECT_EQ(v.at("counters").at("a.count").as_uint64(), 7u);
-  EXPECT_EQ(v.at("gauges").at("a.gauge").as_double(), 2.5);
-  const JsonValue& h = v.at("histograms").at("a.delay_us");
+  EXPECT_EQ(v.size(), 2u);  // "histograms" and "series", nothing else
+  const JsonValue& h = v.at("histograms").at("a.hops");
   EXPECT_EQ(h.at("count").as_uint64(), 1u);
   EXPECT_EQ(h.at("p50").as_double(), 100.0);
   EXPECT_EQ(h.at("p99").as_double(), 100.0);
@@ -285,23 +276,6 @@ TEST_F(SpanRunTest, RlsmpAndFloodSpanTreeInvariants) {
   }
 }
 
-TEST_F(SpanRunTest, QueryDelayHistogramMatchesLatencyStat) {
-  ScenarioConfig cfg = paper_scenario(200, 72);
-  World world(cfg, Protocol::kHlsrg);
-  const RunMetrics& m = world.run();
-  const auto& hists = world.sim().observability().histograms();
-  ASSERT_TRUE(hists.count("query.delay_us"));
-  const Histogram& h = hists.at("query.delay_us");
-  EXPECT_EQ(h.count(), m.queries_succeeded);
-  if (h.count() > 0) {
-    EXPECT_NEAR(h.mean() / 1000.0, m.query_latency.mean_ms(),
-                0.01 * m.query_latency.mean_ms() + 0.01);
-  }
-  // Route-hop histograms populate too.
-  ASSERT_TRUE(hists.count("gpsr.route_hops"));
-  EXPECT_GT(hists.at("gpsr.route_hops").count(), 0u);
-}
-
 TEST_F(SpanRunTest, WorldSamplerRecordsTimeSeries) {
   ScenarioConfig cfg = paper_scenario(150, 73);
   cfg.sample_interval = SimTime::from_sec(10.0);
@@ -309,14 +283,33 @@ TEST_F(SpanRunTest, WorldSamplerRecordsTimeSeries) {
   world.run();
   const auto& series = world.sim().observability().series();
   ASSERT_TRUE(series.count("world.live_queries"));
-  ASSERT_TRUE(series.count("world.table_records"));
-  const TimeSeries& records = series.at("world.table_records");
+  // Table occupancy is sampled per L3 region on the same tick: one row per
+  // tick, one column per region.
+  const std::size_t ticks = world.regions().sample_count();
   const std::size_t expected =
       static_cast<std::size_t>(cfg.end_time().sec() / 10.0);
-  EXPECT_GE(records.values.size() + 1, expected);  // ties at the horizon
-  EXPECT_EQ(records.values.size(), records.times_sec.size());
+  EXPECT_GE(ticks + 1, expected);  // ties at the horizon
+  EXPECT_EQ(series.at("world.live_queries").values.size(), ticks);
+  const JsonValue telemetry = world.regions().to_json();
+  const JsonValue& records = telemetry.at("series").at("table_records");
+  ASSERT_EQ(records.size(), ticks);
+  const JsonValue& last_tick = records.items().back();
+  ASSERT_EQ(last_tick.size(),
+            static_cast<std::size_t>(world.regions().region_count()));
+  double last_tick_records = 0.0;
+  for (const JsonValue& v : last_tick.items()) {
+    last_tick_records += v.as_double();
+  }
   // Tables fill up once updates start flowing.
-  EXPECT_GT(records.values.back(), 0.0);
+  EXPECT_GT(last_tick_records, 0.0);
+
+  // The always-on hop histograms populate on the same run: GPSR routes and
+  // RSU backhaul messages.
+  const auto& hists = world.sim().observability().histograms();
+  ASSERT_TRUE(hists.count("gpsr.route_hops"));
+  EXPECT_GT(hists.at("gpsr.route_hops").count(), 0u);
+  ASSERT_TRUE(hists.count("wired.message_hops"));
+  EXPECT_GT(hists.at("wired.message_hops").count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,6 +394,8 @@ TEST(ObservabilityReportTest, RunReportCarriesObservabilityAndPercentiles) {
   const JsonValue doc = report.to_json();
   ASSERT_TRUE(doc.contains("observability"));
   EXPECT_TRUE(
+      doc.at("observability").at("histograms").contains("gpsr.route_hops"));
+  EXPECT_FALSE(
       doc.at("observability").at("histograms").contains("query.delay_us"));
   EXPECT_TRUE(doc.at("latency").contains("p90_ms"));
   EXPECT_TRUE(doc.at("engine").contains("trace_events_dropped"));

@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "harness/runner.h"
 #include "report/bench_report.h"
 #include "report/json.h"
 #include "report/run_report.h"
+#include "trace/metrics.h"
 
 namespace hlsrg {
 namespace {
@@ -184,6 +186,59 @@ TEST(RunReportTest, JsonRoundTripFieldEquality) {
   EXPECT_DOUBLE_EQ(back.engine.wall_clock_sec, engine.wall_clock_sec);
   EXPECT_EQ(back.engine.peak_rss_bytes, engine.peak_rss_bytes);
   EXPECT_EQ(back.engine.table_bytes, engine.table_bytes);
+}
+
+// The engine block reports broadcasts and the outstanding-query peak from
+// RunMetrics, and the observability block holds only histograms and series.
+// A chaos-plan run with the service tier on walks every path that once kept
+// a second copy of a count (wired drops, suppression, retries, cache, batch,
+// shed, latency).
+TEST(RunReportTest, EngineBlockReadsRunMetricsUnderChaosAndTier) {
+  ScenarioConfig cfg = paper_scenario(200, 7);
+  const auto plan = JsonValue::parse(R"({
+    "schema": "hlsrg-fault/v1",
+    "fault_seed": 99,
+    "faults": [
+      {"kind": "rsu_crash", "begin_sec": 55, "end_sec": 80,
+       "level": 3, "row": 0, "col": 0},
+      {"kind": "radio_loss", "begin_sec": 50, "end_sec": 85,
+       "box": [0, 0, 1000, 2000], "extra_loss": 0.4}
+    ],
+    "overrides": {"max_attempts": 4, "retry_backoff_base": 2.0}
+  })");
+  ASSERT_TRUE(plan.has_value());
+  std::string error;
+  ASSERT_TRUE(FaultPlan::from_json(*plan, &cfg.fault_plan, &error)) << error;
+  cfg.service.enabled = true;
+  cfg.service.open_loop_rate_per_sec = 20.0;
+  cfg.service.batching = true;
+  cfg.service.caching = true;
+  cfg.service.max_outstanding = 30;
+
+  const ReplicaSet set = run_replicas(cfg, Protocol::kHlsrg, 1, 1);
+  RunReport report =
+      make_run_report(Protocol::kHlsrg, cfg, set.merged, set.engine_total);
+  report.observability = registry_to_json(set.observability);
+  const JsonValue doc = report.to_json();
+
+  const JsonValue& metrics = doc.at("metrics");
+  const JsonValue& engine = doc.at("engine");
+  const std::uint64_t broadcasts = metrics.at("radio_broadcasts").as_uint64();
+  ASSERT_GT(broadcasts, 0u);
+  ASSERT_GT(metrics.at("peak_outstanding").as_uint64(), 0u);
+  EXPECT_EQ(engine.at("broadcasts").as_uint64(), broadcasts);
+  EXPECT_EQ(engine.at("peak_outstanding_queries").as_uint64(),
+            metrics.at("peak_outstanding").as_uint64());
+  const double wall = engine.at("wall_clock_sec").as_double();
+  ASSERT_GT(wall, 0.0);
+  EXPECT_DOUBLE_EQ(engine.at("broadcasts_per_sec").as_double(),
+                   static_cast<double>(broadcasts) / wall);
+
+  const JsonValue& obs = doc.at("observability");
+  ASSERT_EQ(obs.size(), 2u);
+  EXPECT_EQ(obs.members()[0].first, "histograms");
+  EXPECT_EQ(obs.members()[1].first, "series");
+  EXPECT_FALSE(obs.at("histograms").contains("query.delay_us"));
 }
 
 TEST(RunMetricsTest, MergeAppliesEachFieldsRule) {

@@ -316,15 +316,18 @@ TEST(EngineStatsTest, MergeSumsCountsAndMaxesPeakDepth) {
   a.peak_queue_depth = 40;
   a.sim_time_sec = 150.0;
   a.wall_clock_sec = 0.5;
+  a.peak_rss_bytes = 5000;
   b.events_processed = 300;
   b.events_scheduled = 310;
   b.peak_queue_depth = 25;
   b.sim_time_sec = 150.0;
   b.wall_clock_sec = 1.5;
+  b.peak_rss_bytes = 4000;
   a.merge(b);
   EXPECT_EQ(a.events_processed, 400u);
   EXPECT_EQ(a.events_scheduled, 430u);
   EXPECT_EQ(a.peak_queue_depth, 40u);  // max, not sum
+  EXPECT_EQ(a.peak_rss_bytes, 5000u);  // max, not sum
   EXPECT_DOUBLE_EQ(a.sim_time_sec, 300.0);
   EXPECT_DOUBLE_EQ(a.wall_clock_sec, 2.0);
   EXPECT_DOUBLE_EQ(a.events_per_sec(), 200.0);
