@@ -173,10 +173,8 @@ class SweepDriver {
         run_replicas(effective, protocol, opts_.replicas,
                      static_cast<std::size_t>(opts_.threads), trace);
     if (trace != nullptr) {
-      for (const EnginePhase& p : set.phases) {
-        wall_spans_.push_back(
-            WallSpan{p.name, p.replica, p.begin_sec, p.end_sec});
-      }
+      wall_spans_.insert(wall_spans_.end(), set.phases.begin(),
+                         set.phases.end());
     }
     if (capture_obs) {
       obs_regions_ = set.regions;

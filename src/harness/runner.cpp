@@ -84,13 +84,13 @@ ReplicaSet run_replicas(const ScenarioConfig& cfg, Protocol protocol,
       world.attach_trace(trace_replica0);
     }
     const double build_end = since_epoch();
-    out.phases[i * 3] = EnginePhase{"build", rep, build_begin, build_end};
+    out.phases[i * 3] = WallSpan{"build", rep, build_begin, build_end};
     out.replicas[i] = world.run();
     const double stop = monotonic_now_sec();
     const double run_end = since_epoch();
-    out.phases[i * 3 + 1] = EnginePhase{"run", rep, build_end, run_end};
+    out.phases[i * 3 + 1] = WallSpan{"run", rep, build_end, run_end};
     out.digests[i] = state_digest(world);
-    out.phases[i * 3 + 2] = EnginePhase{"digest", rep, run_end, since_epoch()};
+    out.phases[i * 3 + 2] = WallSpan{"digest", rep, run_end, since_epoch()};
     out.engine[i] = world.sim().engine_stats();
     out.engine[i].wall_clock_sec = stop - start;
     // Process peak at sample time, NOT this replica's own footprint — see

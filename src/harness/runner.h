@@ -4,7 +4,6 @@
 // delay figure, and the others stabilize similarly.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "harness/scenario.h"
@@ -12,19 +11,10 @@
 #include "obs/profiler.h"
 #include "obs/region_telemetry.h"
 #include "sim/counters.h"
+#include "trace/chrome_trace.h"
 #include "trace/metrics.h"
 
 namespace hlsrg {
-
-// One wall-clock engine phase of a replica (build / run / digest), measured
-// against a common monotonic epoch taken at run_replicas entry. Feeds the
-// engine track of the Chrome-trace exporter (trace/chrome_trace.h).
-struct EnginePhase {
-  std::string name;
-  int replica = 0;
-  double begin_sec = 0.0;
-  double end_sec = 0.0;
-};
 
 struct ReplicaSet {
   // Per-replica metrics, index i ran with seed cfg.seed + i.
@@ -49,9 +39,10 @@ struct ReplicaSet {
   // Engine stats aggregated across replicas (counts/times summed, peak
   // queue depth maxed).
   EngineStats engine_total;
-  // Wall-clock engine phases (build/run/digest per replica), relative to the
-  // run_replicas entry time.
-  std::vector<EnginePhase> phases;
+  // Wall-clock engine phases (build/run/digest per replica; track = replica
+  // index), relative to the run_replicas entry time. They feed the engine
+  // track of the Chrome-trace exporter as they are.
+  std::vector<WallSpan> phases;
   // Observability registries of all replicas, merged (counters summed,
   // histograms pooled, time series kept from the first replica).
   MetricsRegistry observability;

@@ -127,6 +127,16 @@ NodeId GpsrRouter::perimeter_next(Vec2 current_pos, Vec2 reference_toward,
   return best;
 }
 
+void GpsrRouter::fail_route(const RouteState& st, Vec2 holder_pos) {
+  Simulator& sim = medium_->sim();
+  sim.metrics().gpsr_failures++;
+  sim.end_span(st.span, SpanStatus::kFailed, holder_pos, st.hops);
+  if (st.fail) {
+    SpanScope scope(sim, st.ctx);
+    st.fail();
+  }
+}
+
 void GpsrRouter::route_step(NodeId current,
                             const std::shared_ptr<RouteState>& st) {
   const Vec2 cp = registry_->position(current);
@@ -150,13 +160,7 @@ void GpsrRouter::route_step(NodeId current,
   }
 
   if (++st->hops > cfg_.max_hops) {
-    Simulator& sim = medium_->sim();
-    sim.metrics().gpsr_failures++;
-    sim.end_span(st->span, SpanStatus::kFailed, cp, st->hops);
-    if (st->fail) {
-      SpanScope scope(sim, st->ctx);
-      st->fail();
-    }
+    fail_route(*st, cp);
     return;
   }
 
@@ -195,13 +199,7 @@ void GpsrRouter::route_step(NodeId current,
   }
 
   if (!next.valid()) {
-    Simulator& sim = medium_->sim();
-    sim.metrics().gpsr_failures++;
-    sim.end_span(st->span, SpanStatus::kFailed, cp, st->hops);
-    if (st->fail) {
-      SpanScope scope(sim, st->ctx);
-      st->fail();
-    }
+    fail_route(*st, cp);
     return;
   }
 
@@ -217,16 +215,8 @@ void GpsrRouter::route_step(NodeId current,
         st->prev = from;
         route_step(next, st);
       },
-      /*on_lost=*/[this, st] {
-        Simulator& sim = medium_->sim();
-        sim.metrics().gpsr_failures++;
-        const Vec2 where = st->prev.valid() ? registry_->position(st->prev)
-                                            : st->dest_pos;
-        sim.end_span(st->span, SpanStatus::kFailed, where, st->hops);
-        if (st->fail) {
-          SpanScope fail_scope(sim, st->ctx);
-          st->fail();
-        }
+      /*on_lost=*/[this, from, st] {
+        fail_route(*st, registry_->position(from));
       });
 }
 

@@ -63,6 +63,10 @@ class GpsrRouter {
   };
 
   void route_step(NodeId current, const std::shared_ptr<RouteState>& st);
+  // Every way a route gives up (hop limit, no next hop, lost hop): counts the
+  // failure, ends the route span as failed at the position of the node
+  // holding the packet, and runs the caller's fail callback under its scope.
+  void fail_route(const RouteState& st, Vec2 holder_pos);
   void gather_neighbors(NodeId current, std::vector<NeighborView>* out);
   // Greedy next hop: neighbor strictly closer to the destination; invalid id
   // if none exists (local minimum).

@@ -78,60 +78,56 @@ void NeighborIndex::rebuild_incremental() {
   }
 }
 
+template <typename Fn>
+void NeighborIndex::for_each_block_cell(Vec2 p, Fn&& fn) const {
+  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
+  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
+  for (std::int32_t dx = -1; dx <= 1; ++dx) {
+    for (std::int32_t dy = -1; dy <= 1; ++dy) {
+      const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
+      if (nodes != nullptr) fn(*nodes);
+    }
+  }
+}
+
+template <typename Fn>
+void NeighborIndex::for_each_within(Vec2 p, double radius, NodeId exclude,
+                                    Fn&& fn) const {
+  const double r2 = radius * radius;
+  for_each_block_cell(p, [&](const std::vector<NodeId>& nodes) {
+    for (NodeId id : nodes) {
+      if (id != exclude && distance2(cached_pos_[id.index()], p) <= r2) {
+        fn(id);
+      }
+    }
+  });
+}
+
 void NeighborIndex::query(Vec2 p, double radius, NodeId exclude,
                           std::vector<NodeId>* out) const {
   HLSRG_CHECK(out != nullptr);
   HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
                   "query radius must not exceed the hash cell size");
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
-  const double r2 = radius * radius;
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-      if (nodes == nullptr) continue;
-      for (NodeId id : *nodes) {
-        if (id == exclude) continue;
-        if (distance2(cached_pos_[id.index()], p) <= r2) out->push_back(id);
-      }
-    }
-  }
+  for_each_within(p, radius, exclude, [out](NodeId id) { out->push_back(id); });
 }
 
 int NeighborIndex::count_within(Vec2 p, double radius, NodeId exclude) const {
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
-  const double r2 = radius * radius;
   int n = 0;
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-      if (nodes == nullptr) continue;
-      for (NodeId id : *nodes) {
-        if (id == exclude) continue;
-        if (distance2(cached_pos_[id.index()], p) <= r2) ++n;
-      }
-    }
-  }
+  for_each_within(p, radius, exclude, [&n](NodeId) { ++n; });
   return n;
 }
 
 std::int32_t NeighborIndex::compute_density(NodeId id) const {
   const Vec2 p = cached_pos_[id.index()];
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
   if (saturation_ >= 0) {
     // Cell-population bound first: the node's whole in-range neighborhood
     // lies inside its 3x3 cell block, so (block population - itself) bounds
     // the exact count from above. At or below the saturation threshold the
     // loss model cannot distinguish the two (excess is zero either way).
     std::int32_t block = 0;
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      for (std::int32_t dy = -1; dy <= 1; ++dy) {
-        const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-        if (nodes != nullptr) block += static_cast<std::int32_t>(nodes->size());
-      }
-    }
+    for_each_block_cell(p, [&block](const std::vector<NodeId>& nodes) {
+      block += static_cast<std::int32_t>(nodes.size());
+    });
     const std::int32_t bound = block - 1;
     if (bound <= saturation_) return bound;
   }
@@ -146,30 +142,6 @@ std::int32_t NeighborIndex::local_density(NodeId id) {
     density_stamp_[i] = stamp_;
   }
   return density_[i];
-}
-
-void NeighborIndex::query_with_density(Vec2 p, double radius, NodeId exclude,
-                                       std::vector<NodeId>* out,
-                                       std::vector<std::int32_t>* density_out) {
-  HLSRG_CHECK(out != nullptr && density_out != nullptr);
-  HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
-                  "query radius must not exceed the hash cell size");
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
-  const double r2 = radius * radius;
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-      if (nodes == nullptr) continue;
-      for (NodeId id : *nodes) {
-        if (id == exclude) continue;
-        if (distance2(cached_pos_[id.index()], p) <= r2) {
-          out->push_back(id);
-          density_out->push_back(local_density(id));
-        }
-      }
-    }
-  }
 }
 
 }  // namespace hlsrg

@@ -11,10 +11,16 @@
 // between cell lists — and the cell table is an open-addressing flat map
 // (util/flat_table.h) instead of an unordered_map.
 //
+// Every lookup — query(), count_within() and the density bound — runs one
+// private 3x3 cell walk (for_each_block_cell): cell by cell, ascending ids
+// within a cell. query() returns receivers in that order, and the radio draws
+// their losses in it, so the walk order is part of every digest.
+//
 // Receiver-side contention density is served from a per-node cache filled
-// lazily once per rebuild. Density feeds the radio loss model only through
-// `excess = max(0, n - contention_free_neighbors)` (net/radio.h), so any
-// count that is provably at or below the saturation threshold yields the
+// lazily once per rebuild; the radio reads it per receiver during its loss
+// pass (RadioMedium::density_at). Density feeds the radio loss model only
+// through `excess = max(0, n - contention_free_neighbors)` (net/radio.h), so
+// any count that is provably at or below the saturation threshold yields the
 // same loss as the exact count: local_density() returns the 3x3 cell
 // population sum when that bound already clears the threshold and falls back
 // to the exact distance-filtered count only in saturated neighborhoods.
@@ -52,21 +58,13 @@ class NeighborIndex {
   void refresh(SimTime now, PhaseProfiler* profiler = nullptr);
 
   // Appends all nodes within `radius` of `p` (excluding `exclude` if valid)
-  // to `out`. Caller must refresh() first; checked.
+  // to `out`, in walk order. Caller must refresh() first.
   void query(Vec2 p, double radius, NodeId exclude,
              std::vector<NodeId>* out) const;
 
   // Number of nodes within `radius` of `p`, excluding `exclude`. Always the
   // exact distance-filtered count.
   [[nodiscard]] int count_within(Vec2 p, double radius, NodeId exclude) const;
-
-  // Batched receiver walk for the radio: one index walk appends every node
-  // within `radius` of `p` to `out` and, in lockstep, each receiver's cached
-  // contention density (see local_density) to `density_out`. Receiver order
-  // matches query() exactly.
-  void query_with_density(Vec2 p, double radius, NodeId exclude,
-                          std::vector<NodeId>* out,
-                          std::vector<std::int32_t>* density_out);
 
   // Contention density at node `id`: the number of other stations audible at
   // its position, as the radio loss model consumes it. Returns the exact
@@ -98,6 +96,14 @@ class NeighborIndex {
   [[nodiscard]] const std::vector<NodeId>* cell_nodes(std::uint64_t key) const;
   // Mutable cell record for `key`, created on demand.
   std::vector<NodeId>& cell_nodes_mut(std::uint64_t key);
+
+  // The one 3x3 walk: calls fn(nodes) for each non-empty cell list of the
+  // range-sized block around `p`, column by column (dx outer, dy inner).
+  template <typename Fn>
+  void for_each_block_cell(Vec2 p, Fn&& fn) const;
+  // fn(id) for every node of that walk within `radius` of `p`, bar `exclude`.
+  template <typename Fn>
+  void for_each_within(Vec2 p, double radius, NodeId exclude, Fn&& fn) const;
 
   void rebuild_full();
   void rebuild_incremental();

@@ -53,15 +53,8 @@ int RadioMedium::fan_out(NodeId sender, PacketKind pkt_kind, Deliver deliver) {
   ProfileScope profile(sim_->profiler(), "radio_broadcast");
   index_.refresh(sim_->now(), sim_->profiler());
   scratch_.clear();
-  density_scratch_.clear();
   const Vec2 sp = registry_->position(sender);
-  if (reference_density_) {
-    index_.query(sp, cfg_.range_m, sender, &scratch_);
-    for (NodeId rx : scratch_) density_scratch_.push_back(density_at(rx));
-  } else {
-    index_.query_with_density(sp, cfg_.range_m, sender, &scratch_,
-                              &density_scratch_);
-  }
+  index_.query(sp, cfg_.range_m, sender, &scratch_);
   sim_->metrics().radio_broadcasts++;
   RegionTelemetry* regions = sim_->regions();
   if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_broadcasts;
@@ -70,12 +63,11 @@ int RadioMedium::fan_out(NodeId sender, PacketKind pkt_kind, Deliver deliver) {
   // Survivors are owned by the fan-out event: receiver handlers broadcast
   // again and reuse scratch_ before the walk is over.
   std::vector<NodeId> survivors;
-  for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    const NodeId rx = scratch_[i];
+  for (NodeId rx : scratch_) {
     sim_->metrics().channel.add_offered(kind);
     const Vec2 rp = registry_->position(rx);
     if (sim_->radio_rng().chance(
-            loss_probability(distance(sp, rp), density_scratch_[i], rp))) {
+            loss_probability(distance(sp, rp), density_at(rx), rp))) {
       sim_->metrics().radio_drops++;
       sim_->metrics().channel.add_dropped(kind);
       if (regions != nullptr) {
@@ -120,81 +112,11 @@ int RadioMedium::broadcast_each(NodeId sender, PacketKind kind,
   return fan_out(sender, kind, std::move(on_deliver));
 }
 
-void RadioMedium::try_unicast(NodeId sender, NodeId target,
-                              std::shared_ptr<const Packet> pkt,
+void RadioMedium::try_unicast(NodeId sender, NodeId target, PacketKind pkt_kind,
                               int attempts_left,
+                              std::function<void()> on_delivered,
                               std::function<void()> on_lost, SpanId span,
                               SpanId ctx) {
-  ProfileScope profile(sim_->profiler(), "radio_unicast");
-  index_.refresh(sim_->now(), sim_->profiler());
-  const Vec2 sp = registry_->position(sender);
-  const Vec2 tp = registry_->position(target);
-  const double d = distance(sp, tp);
-  sim_->metrics().radio_unicasts++;
-  RegionTelemetry* regions = sim_->regions();
-  if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_unicasts;
-  const int kind = static_cast<int>(pkt->kind);
-  sim_->metrics().channel.add_offered(kind);
-  const std::int32_t retries_used = cfg_.unicast_retries - attempts_left;
-  if (d <= cfg_.range_m) {
-    const int density = density_at(target);
-    if (!sim_->radio_rng().chance(loss_probability(d, density, tp))) {
-      sim_->metrics().channel.add_delivered(kind);
-      if (regions != nullptr) {
-        ++regions->at(regions->region_of(tp)).radio_delivered;
-      }
-      // The receiver inherits the sender's span context across the hop.
-      sim_->schedule_after(
-          hop_delay(), [this, target, pkt = std::move(pkt), sender, span, ctx,
-                        retries_used] {
-            sim_->end_span(span, SpanStatus::kOk, registry_->position(target),
-                           retries_used);
-            SpanScope scope(*sim_, ctx);
-            if (PacketSink* sink = registry_->sink(target)) {
-              sink->on_receive(*pkt, sender);
-            }
-          });
-      return;
-    }
-  }
-  sim_->metrics().radio_drops++;
-  sim_->metrics().channel.add_dropped(kind);
-  if (regions != nullptr) ++regions->at(regions->region_of(tp)).radio_dropped;
-  if (attempts_left > 0) {
-    sim_->schedule_after(
-        SimTime::from_ms(cfg_.retry_delay_ms),
-        [this, sender, target, pkt = std::move(pkt), attempts_left,
-         on_lost = std::move(on_lost), span, ctx]() mutable {
-          try_unicast(sender, target, std::move(pkt), attempts_left - 1,
-                      std::move(on_lost), span, ctx);
-        });
-  } else {
-    sim_->end_span(span, SpanStatus::kFailed, tp, retries_used);
-    if (on_lost) {
-      SpanScope scope(*sim_, ctx);
-      on_lost();
-    }
-  }
-}
-
-void RadioMedium::unicast(NodeId sender, NodeId target, const Packet& pkt,
-                          std::function<void()> on_lost) {
-  // One hop span covering every MAC retry; ends at reception or abandon.
-  const SpanId ctx = sim_->active_span();
-  const SpanId span =
-      sim_->begin_span(SpanKind::kRadioHop, sender.value(), target.value(),
-                       registry_->position(sender), kNoQuery, -1,
-                       packet_kind_name(pkt.kind));
-  // One immutable copy shared across the whole retry chain.
-  try_unicast(sender, target, std::make_shared<const Packet>(pkt),
-              cfg_.unicast_retries, std::move(on_lost), span, ctx);
-}
-
-void RadioMedium::try_unicast_frame(NodeId sender, NodeId target,
-                                    PacketKind pkt_kind, int attempts_left,
-                                    std::function<void()> on_delivered,
-                                    std::function<void()> on_lost, SpanId span,
-                                    SpanId ctx) {
   ProfileScope profile(sim_->profiler(), "radio_unicast");
   index_.refresh(sim_->now(), sim_->profiler());
   const Vec2 sp = registry_->position(sender);
@@ -213,6 +135,7 @@ void RadioMedium::try_unicast_frame(NodeId sender, NodeId target,
       if (regions != nullptr) {
         ++regions->at(regions->region_of(tp)).radio_delivered;
       }
+      // The receiver inherits the sender's span context across the hop.
       sim_->schedule_after(
           hop_delay(), [this, cb = std::move(on_delivered), tp, span, ctx,
                         retries_used] {
@@ -232,9 +155,8 @@ void RadioMedium::try_unicast_frame(NodeId sender, NodeId target,
         [this, sender, target, pkt_kind, attempts_left,
          on_delivered = std::move(on_delivered),
          on_lost = std::move(on_lost), span, ctx]() mutable {
-          try_unicast_frame(sender, target, pkt_kind, attempts_left - 1,
-                            std::move(on_delivered), std::move(on_lost), span,
-                            ctx);
+          try_unicast(sender, target, pkt_kind, attempts_left - 1,
+                      std::move(on_delivered), std::move(on_lost), span, ctx);
         });
   } else {
     sim_->end_span(span, SpanStatus::kFailed, tp, retries_used);
@@ -245,22 +167,36 @@ void RadioMedium::try_unicast_frame(NodeId sender, NodeId target,
   }
 }
 
+void RadioMedium::unicast(NodeId sender, NodeId target, const Packet& pkt,
+                          std::function<void()> on_lost) {
+  // One immutable copy shared across the whole retry chain.
+  auto shared = std::make_shared<const Packet>(pkt);
+  unicast_frame(sender, target, pkt.kind,
+                [registry = registry_, shared = std::move(shared), sender,
+                 target] {
+                  if (PacketSink* sink = registry->sink(target)) {
+                    sink->on_receive(*shared, sender);
+                  }
+                },
+                std::move(on_lost));
+}
+
 void RadioMedium::unicast_frame(NodeId sender, NodeId target, PacketKind kind,
                                 std::function<void()> on_delivered,
                                 std::function<void()> on_lost) {
   HLSRG_CHECK(on_delivered != nullptr);
+  // One hop span covering every MAC retry; ends at reception or abandon.
   const SpanId ctx = sim_->active_span();
   const SpanId span =
       sim_->begin_span(SpanKind::kRadioHop, sender.value(), target.value(),
-                       registry_->position(sender));
-  try_unicast_frame(sender, target, kind, cfg_.unicast_retries,
-                    std::move(on_delivered), std::move(on_lost), span, ctx);
+                       registry_->position(sender), kNoQuery, -1,
+                       packet_kind_name(kind));
+  try_unicast(sender, target, kind, cfg_.unicast_retries,
+              std::move(on_delivered), std::move(on_lost), span, ctx);
 }
 
 void RadioMedium::neighbors_of(NodeId node, std::vector<NodeId>* out) {
-  index_.refresh(sim_->now(), sim_->profiler());
-  out->clear();
-  index_.query(registry_->position(node), cfg_.range_m, node, out);
+  nodes_near(registry_->position(node), cfg_.range_m, node, out);
 }
 
 void RadioMedium::nodes_near(Vec2 pos, double radius, NodeId exclude,

@@ -9,14 +9,15 @@
 // vehicle-to-vehicle paths across "vast areas" are unreliable while short
 // hops and wired RSUs are not.
 //
-// Hot-path shape: a broadcast does ONE index walk (query_with_density
-// returns receivers and their cached contention densities together), draws
-// per-receiver loss in a single pass over that batch, and schedules ONE
-// fan-out event at the shared hop delay. That event walks the surviving
-// receivers in index-walk order, so dispatch order matches what one event
-// per receiver gave (those events had consecutive sequence numbers at one
-// timestamp, so nothing could run between them), at one queue slot per
-// broadcast instead of one per receiver.
+// Hot-path shape: a broadcast does ONE index walk (query), then one pass over
+// the receivers that reads each one's cached contention density and draws its
+// loss, and schedules ONE fan-out event at the shared hop delay. That event
+// walks the surviving receivers in index-walk order, so dispatch order
+// matches what one event per receiver gave (those events had consecutive
+// sequence numbers at one timestamp, so nothing could run between them), at
+// one queue slot per broadcast instead of one per receiver. Both unicast
+// entry points run one kernel (try_unicast): unicast() only supplies the
+// sink delivery, as broadcast() does for fan_out.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +82,10 @@ class RadioMedium {
   int broadcast_each(NodeId sender, PacketKind kind,
                      std::function<void(NodeId)> on_deliver);
 
-  // One-hop unicast with MAC retries. `target` must currently be in range;
-  // if it is not, or every retry is lost, `on_lost` fires (if provided).
+  // One-hop unicast with MAC retries, delivered to the target's sink (looked
+  // up at delivery time). `target` must currently be in range; if it is not,
+  // or every retry is lost, `on_lost` fires (if provided). A wrapper over
+  // unicast_frame(): same channel semantics, span and draws.
   void unicast(NodeId sender, NodeId target, const Packet& pkt,
                std::function<void()> on_lost = {});
 
@@ -90,12 +93,14 @@ class RadioMedium {
   // retries, delay) without sink delivery. Routing layers use this for
   // intermediate hops so forwarders do not consume the packet; exactly one
   // of the callbacks fires, at delivery/abandon time. `kind` is the packet
-  // kind the frame is carrying, for the channel ledger.
+  // kind the frame is carrying, for the channel ledger and the detail of
+  // the kRadioHop span, which covers every retry and ends at the target's
+  // position at the time of the successful (or last) attempt.
   void unicast_frame(NodeId sender, NodeId target, PacketKind kind,
                      std::function<void()> on_delivered,
                      std::function<void()> on_lost = {});
 
-  // Nodes currently within range of `node`.
+  // Nodes currently within range of `node`: nodes_near(its position).
   void neighbors_of(NodeId node, std::vector<NodeId>* out);
   // Nodes currently within range of a position (excluding `exclude`).
   void nodes_near(Vec2 pos, double radius, NodeId exclude,
@@ -137,15 +142,15 @@ class RadioMedium {
   // call. Returns the in-range receiver count.
   template <typename Deliver>
   int fan_out(NodeId sender, PacketKind kind, Deliver deliver);
-  void try_unicast(NodeId sender, NodeId target,
-                   std::shared_ptr<const Packet> pkt, int attempts_left,
+  // The unicast kernel behind unicast() and unicast_frame(): one attempt's
+  // range check and loss draw, then either the hop_delay() draw and one
+  // event that ends `span` at the target's send-time position and runs
+  // `on_delivered` under `ctx`, or a retry after retry_delay_ms while
+  // attempts are left, else `span` fails and `on_lost` runs under `ctx`.
+  void try_unicast(NodeId sender, NodeId target, PacketKind kind,
+                   int attempts_left, std::function<void()> on_delivered,
                    std::function<void()> on_lost, SpanId span, SpanId ctx);
-  void try_unicast_frame(NodeId sender, NodeId target, PacketKind kind,
-                         int attempts_left,
-                         std::function<void()> on_delivered,
-                         std::function<void()> on_lost, SpanId span,
-                         SpanId ctx);
-  // Receiver-side contention density for the loss model: the cached batched
+  // Receiver-side contention density for the loss model: the index's cached
   // value normally, the exact recount under the reference seam.
   [[nodiscard]] int density_at(NodeId rx);
 
@@ -155,7 +160,6 @@ class RadioMedium {
   NeighborIndex index_;
   std::vector<RadioLossZone> loss_zones_;
   std::vector<NodeId> scratch_;
-  std::vector<std::int32_t> density_scratch_;
   bool reference_density_ = false;
 };
 

@@ -1,5 +1,6 @@
 #include "report/json.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -322,8 +323,24 @@ class Parser {
       pos_ = start;
       return false;
     }
-    out = JsonValue(d);
+    out = exact_integer(token).value_or(JsonValue(d));
     return true;
+  }
+
+  // An integer literal that fits int64 (negative) or uint64 keeps its exact
+  // value; anything with a fraction or exponent, or out of range, is a double.
+  static std::optional<JsonValue> exact_integer(const std::string& token) {
+    if (token.find_first_of(".eE") != std::string::npos) return std::nullopt;
+    errno = 0;
+    char* end = nullptr;
+    if (token[0] == '-') {
+      const long long i = std::strtoll(token.c_str(), &end, 10);
+      if (errno != 0 || *end != '\0') return std::nullopt;
+      return JsonValue(static_cast<std::int64_t>(i));
+    }
+    const unsigned long long u = std::strtoull(token.c_str(), &end, 10);
+    if (errno != 0 || *end != '\0') return std::nullopt;
+    return JsonValue(static_cast<std::uint64_t>(u));
   }
 
   const std::string& text_;
@@ -376,7 +393,13 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Type::kNumber:
-      append_number(out, number_);
+      if (int_ == IntKind::kSigned) {
+        out += std::to_string(static_cast<std::int64_t>(bits_));
+      } else if (int_ == IntKind::kUnsigned) {
+        out += std::to_string(bits_);
+      } else {
+        append_number(out, number_);
+      }
       break;
     case Type::kString:
       append_escaped(out, string_);

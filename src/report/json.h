@@ -2,9 +2,12 @@
 //
 // Small by design: the bench reports need objects/arrays/strings/numbers/
 // bools/null, stable key order (insertion order, so diffs are meaningful),
-// round-trip-exact integers up to 2^53, and nothing else. The parser accepts
-// strict RFC 8259 JSON; it exists so tools and tests can read reports back,
-// not to be a general-purpose library.
+// round-trip-exact 64-bit integers, and nothing else. A number built from an
+// int64/uint64, or parsed from an integer literal that fits one, keeps its
+// exact value next to the double; below 2^53 the two agree, so those print
+// exactly as a double would. The parser accepts strict RFC 8259 JSON; it
+// exists so tools and tests can read reports back, not to be a
+// general-purpose library.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +27,12 @@ class JsonValue {
   JsonValue(bool b) : type_(Type::kBool), bool_(b) {}                // NOLINT
   JsonValue(double d) : type_(Type::kNumber), number_(d) {}          // NOLINT
   JsonValue(int i) : JsonValue(static_cast<double>(i)) {}            // NOLINT
-  JsonValue(std::int64_t i) : JsonValue(static_cast<double>(i)) {}   // NOLINT
-  JsonValue(std::uint64_t u) : JsonValue(static_cast<double>(u)) {}  // NOLINT
+  JsonValue(std::int64_t i)  // NOLINT
+      : type_(Type::kNumber), number_(static_cast<double>(i)),
+        int_(IntKind::kSigned), bits_(static_cast<std::uint64_t>(i)) {}
+  JsonValue(std::uint64_t u)  // NOLINT
+      : type_(Type::kNumber), number_(static_cast<double>(u)),
+        int_(IntKind::kUnsigned), bits_(u) {}
   JsonValue(std::string s) : type_(Type::kString), string_(std::move(s)) {}  // NOLINT
   JsonValue(const char* s) : JsonValue(std::string(s)) {}  // NOLINT
 
@@ -57,6 +64,10 @@ class JsonValue {
     return is_number() ? number_ : fallback;
   }
   [[nodiscard]] std::uint64_t as_uint64(std::uint64_t fallback = 0) const {
+    if (int_ == IntKind::kUnsigned) return bits_;
+    if (int_ == IntKind::kSigned) {
+      return static_cast<std::int64_t>(bits_) >= 0 ? bits_ : fallback;
+    }
     return is_number() && number_ >= 0.0
                ? static_cast<std::uint64_t>(number_)
                : fallback;
@@ -98,9 +109,15 @@ class JsonValue {
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
+  // Whether a number also holds an exact integer in bits_ (two's complement
+  // for kSigned); kNone for doubles.
+  enum class IntKind : std::uint8_t { kNone, kSigned, kUnsigned };
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  IntKind int_ = IntKind::kNone;
+  std::uint64_t bits_ = 0;
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;

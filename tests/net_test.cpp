@@ -14,7 +14,9 @@
 #include "net/node_registry.h"
 #include "net/radio.h"
 #include "net/wired.h"
+#include "obs/region_telemetry.h"
 #include "sim/simulator.h"
+#include "trace/trace.h"
 
 namespace hlsrg {
 namespace {
@@ -308,6 +310,132 @@ TEST(RadioTest, UnicastFrameCallsExactlyOneCallback) {
   EXPECT_TRUE(net.sink(b).received.empty());
 }
 
+// --- One unicast kernel ---------------------------------------------------------
+//
+// unicast() is unicast_frame() plus sink delivery. Between the same pair, in
+// two simulators with the same seed, the two entry points must spend the same
+// draws and leave the same record: outcomes, hop spans, ledger and telemetry.
+
+// A sink that logs each reception into a shared settle-order log.
+class LogSink : public PacketSink {
+ public:
+  explicit LogSink(std::vector<std::pair<int, bool>>* log) : log_(log) {}
+  void on_receive(const Packet& packet, NodeId /*from*/) override {
+    log_->emplace_back(
+        static_cast<const TestPayload&>(*packet.payload).value, true);
+  }
+
+ private:
+  std::vector<std::pair<int, bool>>* log_;
+};
+
+struct UnicastRecord {
+  std::vector<std::pair<int, bool>> outcomes;  // (send index, delivered)
+  std::vector<std::int32_t> retries_used;      // per kRadioHop span
+  std::vector<SpanStatus> statuses;
+  std::vector<Vec2> end_positions;
+  std::vector<std::string> details;
+  std::uint64_t unicasts = 0, drops = 0;
+  std::uint64_t offered = 0, delivered = 0, dropped = 0;
+  std::uint64_t region_unicasts = 0, region_delivered = 0, region_dropped = 0;
+};
+
+UnicastRecord run_unicasts(bool via_sink, Vec2 target_pos) {
+  Simulator sim(21);
+  TraceLog trace;
+  sim.set_trace(&trace);
+  RegionTelemetry regions({0.0, 3000.0}, {0.0, 3000.0});
+  sim.set_regions(&regions);
+  RadioConfig cfg = lossless();
+  cfg.base_loss = 0.5;
+  cfg.max_loss = 0.5;
+  cfg.unicast_retries = 2;
+  UnicastRecord r;
+  NodeRegistry registry;
+  LogSink sink(&r.outcomes);
+  const NodeId a = registry.add_node({0, 0});
+  const NodeId b = registry.add_node(target_pos, &sink);
+  RadioMedium radio(sim, registry, cfg);
+  for (int i = 0; i < 40; ++i) {
+    auto lost = [&r, i] { r.outcomes.emplace_back(i, false); };
+    if (via_sink) {
+      radio.unicast(a, b, make_test_packet(i), lost);
+    } else {
+      radio.unicast_frame(
+          a, b, PacketKind::kQueryRequest,
+          [&r, i] { r.outcomes.emplace_back(i, true); }, lost);
+    }
+  }
+  sim.run_until(SimTime::from_sec(5));
+  for (const Span& s : trace.spans()) {
+    if (s.kind != SpanKind::kRadioHop) continue;
+    r.retries_used.push_back(s.value);
+    r.statuses.push_back(s.status);
+    r.end_positions.push_back(s.end_pos);
+    r.details.emplace_back(s.detail != nullptr ? s.detail : "");
+  }
+  const RunMetrics& m = sim.metrics();
+  const int kind = static_cast<int>(PacketKind::kQueryRequest);
+  r.unicasts = m.radio_unicasts;
+  r.drops = m.radio_drops;
+  r.offered = m.channel.total_offered();
+  r.delivered = m.channel.delivered(kind);
+  r.dropped = m.channel.dropped(kind);
+  const RegionCounters& rc = regions.at(0);
+  r.region_unicasts = rc.radio_unicasts;
+  r.region_delivered = rc.radio_delivered;
+  r.region_dropped = rc.radio_dropped;
+  return r;
+}
+
+void expect_same_record(const UnicastRecord& sink, const UnicastRecord& frame) {
+  EXPECT_EQ(sink.outcomes, frame.outcomes);
+  EXPECT_EQ(sink.retries_used, frame.retries_used);
+  EXPECT_EQ(sink.statuses, frame.statuses);
+  EXPECT_EQ(sink.end_positions, frame.end_positions);
+  EXPECT_EQ(sink.details, frame.details);
+  EXPECT_EQ(sink.unicasts, frame.unicasts);
+  EXPECT_EQ(sink.drops, frame.drops);
+  EXPECT_EQ(sink.offered, frame.offered);
+  EXPECT_EQ(sink.delivered, frame.delivered);
+  EXPECT_EQ(sink.dropped, frame.dropped);
+  EXPECT_EQ(sink.region_unicasts, frame.region_unicasts);
+  EXPECT_EQ(sink.region_delivered, frame.region_delivered);
+  EXPECT_EQ(sink.region_dropped, frame.region_dropped);
+}
+
+TEST(UnicastKernelTest, SinkAndFrameEntryPointsAgreeUnderLoss) {
+  const UnicastRecord sink = run_unicasts(/*via_sink=*/true, {200, 0});
+  const UnicastRecord frame = run_unicasts(/*via_sink=*/false, {200, 0});
+  expect_same_record(sink, frame);
+  // The run exercises every branch of the retry loop.
+  ASSERT_EQ(sink.outcomes.size(), 40u);
+  EXPECT_TRUE(std::any_of(sink.outcomes.begin(), sink.outcomes.end(),
+                          [](const auto& o) { return !o.second; }));
+  EXPECT_TRUE(std::any_of(sink.outcomes.begin(), sink.outcomes.end(),
+                          [](const auto& o) { return o.second; }));
+  EXPECT_TRUE(std::count(sink.retries_used.begin(), sink.retries_used.end(),
+                         1) > 0);
+  EXPECT_EQ(sink.offered, sink.delivered + sink.dropped);
+  EXPECT_EQ(sink.unicasts, sink.offered);
+  EXPECT_EQ(sink.region_unicasts, sink.unicasts);
+  for (const std::string& d : sink.details) EXPECT_EQ(d, "query_request");
+  for (Vec2 p : sink.end_positions) EXPECT_EQ(p, (Vec2{200, 0}));
+}
+
+TEST(UnicastKernelTest, SinkAndFrameEntryPointsAgreeOutOfRange) {
+  const UnicastRecord sink = run_unicasts(/*via_sink=*/true, {2000, 0});
+  const UnicastRecord frame = run_unicasts(/*via_sink=*/false, {2000, 0});
+  expect_same_record(sink, frame);
+  ASSERT_EQ(sink.outcomes.size(), 40u);
+  for (const auto& o : sink.outcomes) EXPECT_FALSE(o.second);
+  // Every send spends all three attempts, then fails its span.
+  EXPECT_EQ(sink.unicasts, 120u);
+  EXPECT_EQ(sink.region_dropped, 120u);
+  for (std::int32_t used : sink.retries_used) EXPECT_EQ(used, 2);
+  for (SpanStatus st : sink.statuses) EXPECT_EQ(st, SpanStatus::kFailed);
+}
+
 // --- Fan-out delivery --------------------------------------------------------
 //
 // A broadcast schedules one event at the shared hop delay, and that event
@@ -485,6 +613,37 @@ TEST(GpsrTest, FailsWhenPartitioned) {
   sim.run_until(SimTime::from_sec(5));
   EXPECT_TRUE(failed);
   EXPECT_GT(sim.metrics().gpsr_failures, 0u);
+}
+
+TEST(GpsrTest, LostHopFailsTheRouteAtTheHolder) {
+  // Every frame is lost, so the source's first hop is abandoned: the route
+  // span must end at the node holding the packet (the source), not at the
+  // destination or a previous hop.
+  Simulator sim(8);
+  TraceLog trace;
+  sim.set_trace(&trace);
+  RadioConfig cfg = lossless();
+  cfg.base_loss = 1.0;
+  cfg.max_loss = 1.0;
+  StaticNet net(sim, cfg);
+  const NodeId src = net.add({100, 50});
+  net.add({500, 50});
+  const NodeId dst = net.add({900, 50});
+  GpsrRouter gpsr(net.medium(), net.registry());
+  int failed = 0;
+  gpsr.send(src, {900, 50}, dst, make_test_packet(), nullptr, {},
+            [&] { ++failed; });
+  sim.run_until(SimTime::from_sec(2));
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(sim.metrics().gpsr_failures, 1u);
+  int routes = 0;
+  for (const Span& s : trace.spans()) {
+    if (s.kind != SpanKind::kGpsrRoute) continue;
+    ++routes;
+    EXPECT_EQ(s.status, SpanStatus::kFailed);
+    EXPECT_EQ(s.end_pos, (Vec2{100, 50}));
+  }
+  EXPECT_EQ(routes, 1);
 }
 
 TEST(GpsrTest, PerimeterModeRoutesAroundAVoid) {

@@ -1,8 +1,8 @@
 // Equivalence and regression tests for the hot-path engine overhaul.
 //
 // The optimized engine (cached contention density with the saturation
-// shortcut, batched query_with_density, slab event queue, shared immutable
-// packets) must be behavior-identical to the straightforward reference
+// shortcut read per receiver in the broadcast loss pass, slab event queue,
+// shared immutable packets) must be behavior-identical to the straightforward reference
 // implementations it replaced. These tests pin that equivalence:
 //   * full-run state digests, reference density vs cached density, across
 //     the paper scenarios, protocols, beacons, and an all-kinds fault plan;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,44 @@ TEST(JsonTest, ParseAcceptsWhitespaceAndNumbers) {
   ASSERT_TRUE(v.has_value());
   EXPECT_DOUBLE_EQ(v->at("a").items()[0].as_double(), -150.0);
   EXPECT_DOUBLE_EQ(v->at("a").items()[1].as_double(), 0.0);
+}
+
+TEST(JsonTest, SixtyFourBitIntegersRoundTripExactly) {
+  const std::uint64_t max_u = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t past_double = (std::uint64_t{1} << 53) + 1;
+  const std::int64_t min_i = std::numeric_limits<std::int64_t>::min();
+  JsonValue o = JsonValue::object();
+  o.set("max_u", max_u);
+  o.set("past_double", past_double);
+  o.set("min_i", min_i);
+  EXPECT_EQ(o.dump(), "{\"max_u\":18446744073709551615,"
+                      "\"past_double\":9007199254740993,"
+                      "\"min_i\":-9223372036854775808}");
+  for (const int indent : {0, 2}) {
+    std::string error;
+    const auto back = JsonValue::parse(o.dump(indent), &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_EQ(back->at("max_u").as_uint64(), max_u);
+    EXPECT_EQ(back->at("past_double").as_uint64(), past_double);
+    EXPECT_EQ(back->at("min_i").dump(), "-9223372036854775808");
+    EXPECT_EQ(back->dump(indent), o.dump(indent));
+  }
+}
+
+TEST(JsonTest, SmallIntegersAndNonIntegersPrintAsBefore) {
+  // Below 2^53 an exact integer prints exactly as its double does, and
+  // doubles, exponents and out-of-range literals stay on the double path.
+  for (const std::uint64_t u : {std::uint64_t{0}, std::uint64_t{42},
+                                (std::uint64_t{1} << 53) - 1}) {
+    EXPECT_EQ(JsonValue(u).dump(), JsonValue(static_cast<double>(u)).dump());
+  }
+  EXPECT_EQ(JsonValue(std::int64_t{-7}).dump(), JsonValue(-7.0).dump());
+  EXPECT_EQ(JsonValue(1e300).dump(), "1.0000000000000001e+300");
+  EXPECT_EQ(JsonValue(0.1).dump(), "0.10000000000000001");
+  EXPECT_EQ(JsonValue::parse("2.5e3")->dump(), "2500");
+  EXPECT_EQ(JsonValue::parse("-0")->dump(), "0");
+  EXPECT_EQ(JsonValue::parse("123456789012345678901234")->dump(),
+            "1.2345678901234569e+23");
 }
 
 // Every counter gets a distinct value, so a field the writer or the parser
@@ -239,6 +278,38 @@ TEST(RunReportTest, EngineBlockReadsRunMetricsUnderChaosAndTier) {
   EXPECT_EQ(obs.members()[0].first, "histograms");
   EXPECT_EQ(obs.members()[1].first, "series");
   EXPECT_FALSE(obs.at("histograms").contains("query.delay_us"));
+}
+
+TEST(FaultPlanReportTest, FaultRunReportCarriesTheExactPlanDigest) {
+  ScenarioConfig cfg = paper_scenario(150, 7);
+  const auto plan = JsonValue::parse(R"({
+    "schema": "hlsrg-fault/v1",
+    "fault_seed": 99,
+    "faults": [
+      {"kind": "radio_loss", "begin_sec": 50, "end_sec": 85,
+       "box": [0, 0, 1000, 2000], "extra_loss": 0.4}
+    ]
+  })");
+  ASSERT_TRUE(plan.has_value());
+  std::string error;
+  ASSERT_TRUE(FaultPlan::from_json(*plan, &cfg.fault_plan, &error)) << error;
+  const ReplicaSet set = run_replicas(cfg, Protocol::kHlsrg, 1, 1);
+  const std::uint64_t digest = set.merged.fault_plan_digest;
+  ASSERT_EQ(digest, cfg.fault_plan.digest());
+  // A double cannot hold this digest, so the check below is a real one.
+  ASSERT_GT(digest, std::uint64_t{1} << 53);
+
+  const RunReport report =
+      make_run_report(Protocol::kHlsrg, cfg, set.merged, set.engine_total);
+  const std::string text = report.to_json().dump(2);
+  EXPECT_NE(text.find("\"fault_plan_digest\": " + std::to_string(digest)),
+            std::string::npos);
+  const auto doc = JsonValue::parse(text, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->at("metrics").at("fault_plan_digest").as_uint64(), digest);
+  RunReport back;
+  ASSERT_TRUE(RunReport::from_json(*doc, &back, &error)) << error;
+  EXPECT_EQ(back.metrics.fault_plan_digest, digest);
 }
 
 TEST(RunMetricsTest, MergeAppliesEachFieldsRule) {
