@@ -85,7 +85,6 @@ PREFERRED_DIRECTION = {
     "recovery_ms": -1,
     "queries_stranded": -1,
     "wired_drops": -1,
-    "trace_events_dropped": -1,
     "trace_spans_dropped": -1,
     "wall_clock_sec": -1,
     "events_per_sec": +1,

@@ -14,7 +14,6 @@ QueryTracker::QueryId QueryTracker::issue(VehicleId src, VehicleId dst) {
   // settles hangs under it (directly or via propagated context).
   records_.back().span = sim_->begin_span(
       SpanKind::kQuery, src.value(), dst.value(), Vec2{}, id);
-  sim_->trace_event({{}, TraceEventKind::kQueryIssued, src, dst, {}, id});
   std::uint64_t& peak = sim_->metrics().peak_outstanding;
   peak = std::max<std::uint64_t>(peak, records_.size() - settled_count_);
   return id;
@@ -33,7 +32,6 @@ void QueryTracker::succeed(QueryId id) {
   if (TraceLog* trace = sim_->trace()) {
     trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kOk);
   }
-  sim_->trace_event({{}, TraceEventKind::kQuerySucceeded, r.src, r.dst, {}, id});
 }
 
 void QueryTracker::fail(QueryId id) {
@@ -47,7 +45,6 @@ void QueryTracker::fail(QueryId id) {
   if (TraceLog* trace = sim_->trace()) {
     trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kFailed);
   }
-  sim_->trace_event({{}, TraceEventKind::kQueryFailed, r.src, r.dst, {}, id});
 }
 
 bool QueryTracker::settled(QueryId id) const {

@@ -307,7 +307,6 @@ JsonValue engine_to_json(const EngineStats& e, const RunMetrics* run) {
   }
   o.set("peak_rss_bytes", e.peak_rss_bytes);
   o.set("table_bytes", e.table_bytes);
-  o.set("trace_events_dropped", e.trace_events_dropped);
   o.set("trace_spans_dropped", e.trace_spans_dropped);
   if (run != nullptr) {
     o.set("peak_outstanding_queries", run->peak_outstanding);
@@ -321,9 +320,6 @@ void engine_from_json(const JsonValue& v, EngineStats* e) {
   e->peak_queue_depth = v.at("peak_queue_depth").as_uint64();
   e->sim_time_sec = v.at("sim_time_sec").as_double();
   e->wall_clock_sec = v.at("wall_clock_sec").as_double();
-  if (v.contains("trace_events_dropped")) {
-    e->trace_events_dropped = v.at("trace_events_dropped").as_uint64();
-  }
   if (v.contains("trace_spans_dropped")) {
     e->trace_spans_dropped = v.at("trace_spans_dropped").as_uint64();
   }

@@ -70,7 +70,6 @@ void EngineStats::merge(const EngineStats& other) {
   // Replicas each hold a full copy of the world; the max is the footprint a
   // single replica needs, which is what the memory gate compares.
   table_bytes = std::max(table_bytes, other.table_bytes);
-  trace_events_dropped += other.trace_events_dropped;
   trace_spans_dropped += other.trace_spans_dropped;
   sim_time_sec += other.sim_time_sec;
   wall_clock_sec += other.wall_clock_sec;

@@ -125,7 +125,6 @@ struct EngineStats {
   std::uint64_t peak_rss_bytes = 0;     // process RSS high-water mark
   std::uint64_t table_bytes = 0;        // protocol-table + registry heap
                                         // bytes at end of run
-  std::uint64_t trace_events_dropped = 0;  // trace records past the cap
   std::uint64_t trace_spans_dropped = 0;   // spans past the cap
   double sim_time_sec = 0.0;            // simulated horizon covered
   double wall_clock_sec = 0.0;          // host time spent running the replica

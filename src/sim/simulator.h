@@ -76,25 +76,14 @@ class Simulator {
     s.events_scheduled = queue_.events_scheduled();
     s.peak_queue_depth = queue_.peak_depth();
     s.sim_time_sec = queue_.now().sec();
-    if (trace_ != nullptr) {
-      s.trace_events_dropped = trace_->dropped_events();
-      s.trace_spans_dropped = trace_->dropped_spans();
-    }
+    if (trace_ != nullptr) s.trace_spans_dropped = trace_->dropped_spans();
     return s;
   }
 
-  // Optional event trace: null (default) means tracing is off. The log must
+  // Optional span trace: null (default) means tracing is off. The log must
   // outlive the simulation.
   void set_trace(TraceLog* trace) { trace_ = trace; }
   [[nodiscard]] TraceLog* trace() { return trace_; }
-
-  // Records an event when tracing is enabled; otherwise a no-op.
-  void trace_event(TraceEvent event) {
-    if (trace_ != nullptr) {
-      event.time = now();
-      trace_->record(event);
-    }
-  }
 
   // ---- span context ------------------------------------------------------
   // The active span is the parent for spans begun synchronously under it;
@@ -131,7 +120,7 @@ class Simulator {
     if (trace_ != nullptr) trace_->end_span(id, now(), status, pos, value);
   }
 
-  // Zero-duration span (table lookups, update broadcasts).
+  // Zero-duration span (table lookups, update broadcasts, table pushes).
   void instant_span(SpanKind kind, SpanStatus status, std::uint32_t subject,
                     std::uint32_t other, Vec2 pos,
                     std::uint32_t query_id = kNoQuery, int level = -1,

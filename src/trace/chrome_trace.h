@@ -2,14 +2,14 @@
 //
 // Three processes in the output: pid 1 is *simulated* time — one thread
 // track per traced query (named "query <id>") carrying its span tree as
-// complete ("X") events, plus shared tracks for non-query span trees and
-// instant trace events; pid 2 is *wall-clock* engine time — one track per
-// replica worker with the harness phases (build/run/digest); pid 3 (only
-// when a profiler is passed) is the aggregated phase profile — the node
-// tree laid out as synthetic nested "X" events whose durations are the
-// inclusive nanosecond totals (a flame graph of where the run's wall time
-// went, not a timeline). Timestamps are microseconds, as the format
-// requires.
+// complete ("X") events, plus one shared track per root kind for span trees
+// that belong to no query (updates, table pushes, ...); pid 2 is
+// *wall-clock* engine time — one track per replica worker with the harness
+// phases (build/run/digest); pid 3 (only when a profiler is passed) is the
+// aggregated phase profile — the node tree laid out as synthetic nested "X"
+// events whose durations are the inclusive nanosecond totals (a flame graph
+// of where the run's wall time went, not a timeline). Timestamps are
+// microseconds, as the format requires.
 #pragma once
 
 #include <string>

@@ -42,6 +42,10 @@ enum class SpanKind : std::uint8_t {
   kCacheHit,      // instant: RSU hot-destination cache answered a query
   kShed,          // instant: admission control refused a query or retry,
                   // detail names which
+  kTablePush,     // instant: an L1 center pushes its table toward its L2
+                  // RSU, value = records
+  kTableHandoff,  // instant: a leaving L1 center broadcasts its table,
+                  // value = records
 };
 
 [[nodiscard]] const char* span_kind_name(SpanKind kind);

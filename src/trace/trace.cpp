@@ -1,7 +1,6 @@
 #include "trace/trace.h"
 
 #include <cstdio>
-#include <cstring>
 
 namespace hlsrg {
 namespace {
@@ -18,45 +17,7 @@ std::string format_fixed(double v, int precision) {
   return buf;
 }
 
-// RFC-4180 quoting: wrap fields containing separators/quotes/newlines and
-// double any embedded quotes. Numeric fields never trigger it; it keeps the
-// export safe if a detail/name field ever grows free text.
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
-  std::string out;
-  out.reserve(field.size() + 2);
-  out += '"';
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
-
-const char* trace_event_name(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kUpdateSent:
-      return "update_sent";
-    case TraceEventKind::kQueryIssued:
-      return "query_issued";
-    case TraceEventKind::kQuerySucceeded:
-      return "query_succeeded";
-    case TraceEventKind::kQueryFailed:
-      return "query_failed";
-    case TraceEventKind::kNotification:
-      return "notification";
-    case TraceEventKind::kAckSent:
-      return "ack_sent";
-    case TraceEventKind::kTableHandoff:
-      return "table_handoff";
-    case TraceEventKind::kTablePush:
-      return "table_push";
-  }
-  return "unknown";
-}
 
 const char* span_kind_name(SpanKind kind) {
   switch (kind) {
@@ -86,6 +47,10 @@ const char* span_kind_name(SpanKind kind) {
       return "cache_hit";
     case SpanKind::kShed:
       return "shed";
+    case SpanKind::kTablePush:
+      return "table_push";
+    case SpanKind::kTableHandoff:
+      return "table_handoff";
   }
   return "unknown";
 }
@@ -102,62 +67,6 @@ const char* span_status_name(SpanStatus status) {
   return "unknown";
 }
 
-std::size_t TraceLog::count(TraceEventKind kind) const {
-  std::size_t n = 0;
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
-}
-
-std::vector<TraceEvent> TraceLog::for_vehicle(VehicleId v) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    if (e.subject == v || e.other == v) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<TraceEvent> TraceLog::for_query(std::uint32_t query_id) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    // query_id 0 is a valid id, so filter by kinds that carry one.
-    switch (e.kind) {
-      case TraceEventKind::kQueryIssued:
-      case TraceEventKind::kQuerySucceeded:
-      case TraceEventKind::kQueryFailed:
-      case TraceEventKind::kNotification:
-      case TraceEventKind::kAckSent:
-        if (e.query_id == query_id) out.push_back(e);
-        break;
-      default:
-        break;
-    }
-  }
-  return out;
-}
-
-std::string TraceLog::to_csv() const {
-  std::string out = "time_s,kind,subject,other,x,y,query_id\n";
-  for (const TraceEvent& e : events_) {
-    out += format_fixed(e.time.sec(), 6);
-    out += ',';
-    out += csv_escape(trace_event_name(e.kind));
-    out += ',';
-    if (e.subject.valid()) out += std::to_string(e.subject.value());
-    out += ',';
-    if (e.other.valid()) out += std::to_string(e.other.value());
-    out += ',';
-    out += format_fixed(e.pos.x, 3);
-    out += ',';
-    out += format_fixed(e.pos.y, 3);
-    out += ',';
-    out += std::to_string(e.query_id);
-    out += '\n';
-  }
-  return out;
-}
-
 SpanId TraceLog::begin_span(Span span, SimTime begin) {
   if (spans_.size() >= max_spans_) {
     ++dropped_spans_;
@@ -168,6 +77,7 @@ SpanId TraceLog::begin_span(Span span, SimTime begin) {
   span.begin = begin;
   span.end = begin;
   spans_.push_back(span);
+  if (span.query_id != kNoQuery) query_spans_[span.query_id].push_back(span.id);
   return span.id;
 }
 
@@ -184,34 +94,34 @@ void TraceLog::end_span(SpanId id, SimTime end, SpanStatus status,
 
 void TraceLog::end_open_spans_for_query(std::uint32_t query_id, SimTime end,
                                         SpanStatus status) {
-  for (Span& s : spans_) {
-    if (s.query_id != query_id || s.status != SpanStatus::kOpen) continue;
+  const auto it = query_spans_.find(query_id);
+  if (it == query_spans_.end()) return;
+  for (SpanId id : it->second) {
+    Span& s = spans_[id - 1];
+    if (s.status != SpanStatus::kOpen) continue;
     s.status = status;
     s.end = end;
     s.end_pos = s.begin_pos;
   }
 }
 
-std::vector<Span> TraceLog::children_of(SpanId parent) const {
-  std::vector<Span> out;
-  for (const Span& s : spans_) {
-    if (s.parent == parent) out.push_back(s);
-  }
-  return out;
-}
-
 std::vector<Span> TraceLog::spans_for_query(std::uint32_t query_id) const {
   std::vector<Span> out;
-  for (const Span& s : spans_) {
-    if (s.query_id == query_id) out.push_back(s);
-  }
+  const auto it = query_spans_.find(query_id);
+  if (it == query_spans_.end()) return out;
+  out.reserve(it->second.size());
+  for (SpanId id : it->second) out.push_back(spans_[id - 1]);
   return out;
 }
 
 namespace {
 
-void append_span_line(std::string& out, const TraceLog& log, const Span& s,
-                      int depth) {
+// children[p] lists the spans whose parent is p (0 = the roots), in begin
+// order; a span whose parent id is not in the log is in no list.
+using ChildLists = std::vector<std::vector<const Span*>>;
+
+void append_span_line(std::string& out, const ChildLists& children,
+                      const Span& s, int depth) {
   out.append(static_cast<std::size_t>(depth) * 2, ' ');
   out += span_kind_name(s.kind);
   out += " [";
@@ -246,17 +156,21 @@ void append_span_line(std::string& out, const TraceLog& log, const Span& s,
     out += s.detail;
   }
   out += '\n';
-  for (const Span& child : log.children_of(s.id)) {
-    append_span_line(out, log, child, depth + 1);
+  for (const Span* child : children[s.id]) {
+    append_span_line(out, children, *child, depth + 1);
   }
 }
 
 }  // namespace
 
 std::string TraceLog::span_tree_text() const {
-  std::string out;
+  ChildLists children(spans_.size() + 1);
   for (const Span& s : spans_) {
-    if (s.parent == kNoSpan) append_span_line(out, *this, s, 0);
+    if (s.parent <= spans_.size()) children[s.parent].push_back(&s);
+  }
+  std::string out;
+  for (const Span* root : children[kNoSpan]) {
+    append_span_line(out, children, *root, 0);
   }
   return out;
 }

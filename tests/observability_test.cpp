@@ -159,36 +159,16 @@ TEST(SpanLogTest, SettleSweepClosesOpenSpansOfQuery) {
   EXPECT_EQ(log.span(u)->status, SpanStatus::kOpen);  // untouched
 }
 
-TEST(SpanLogTest, CapCountsDroppedSpansAndEvents) {
+TEST(SpanLogTest, CapCountsDroppedSpans) {
   TraceLog log;
-  log.set_capacity(2, 1);
+  log.set_capacity(1);
   for (int i = 0; i < 5; ++i) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kUpdateSent;
-    log.record(e);
     Span s;
     s.kind = SpanKind::kUpdate;
     log.begin_span(s, SimTime{});
   }
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.dropped_events(), 3u);
   EXPECT_EQ(log.span_count(), 1u);
   EXPECT_EQ(log.dropped_spans(), 4u);
-}
-
-TEST(SpanLogTest, CsvUsesDotDecimalSeparator) {
-  TraceLog log;
-  TraceEvent e;
-  e.time = SimTime::from_ms(1500);
-  e.kind = TraceEventKind::kAckSent;
-  e.subject = VehicleId{4u};
-  e.pos = Vec2{12.5, -3.25};
-  e.query_id = 9;
-  log.record(e);
-  const std::string csv = log.to_csv();
-  EXPECT_NE(csv.find("1.500000"), std::string::npos);
-  EXPECT_NE(csv.find("12.500"), std::string::npos);
-  EXPECT_EQ(csv.find(','), csv.find(",kind"));  // header intact
 }
 
 // ---------------------------------------------------------------------------
@@ -233,16 +213,13 @@ class SpanRunTest : public ::testing::Test {
     EXPECT_EQ(roots, metrics.queries_issued);
     EXPECT_EQ(settled_queries.size(), metrics.queries_issued);
 
-    // Each query tree contains its root, and children_of agrees with the
-    // parent links.
+    // Each query's spans start with its root and all carry its id.
     for (const Span& s : trace.spans()) {
       if (s.kind != SpanKind::kQuery) continue;
       const auto tree = trace.spans_for_query(s.query_id);
       ASSERT_FALSE(tree.empty());
       EXPECT_EQ(tree.front().id, s.id);
-      for (const Span& child : trace.children_of(s.id)) {
-        EXPECT_EQ(child.parent, s.id);
-      }
+      for (const Span& leg : tree) EXPECT_EQ(leg.query_id, s.query_id);
     }
   }
 };
@@ -355,6 +332,10 @@ TEST(ChromeTraceTest, DocumentRoundTripsThroughJsonParser) {
       if (e.at("pid").as_int() == 2) saw_engine = true;
     }
     if (ph == "M") saw_meta = true;
+    // Spans are the only sim-time record: no separate event track.
+    if (e.contains("cat")) {
+      EXPECT_NE(e.at("cat").as_string(), "event");
+    }
   }
   EXPECT_TRUE(saw_complete);
   EXPECT_TRUE(saw_meta);
@@ -398,7 +379,8 @@ TEST(ObservabilityReportTest, RunReportCarriesObservabilityAndPercentiles) {
   EXPECT_FALSE(
       doc.at("observability").at("histograms").contains("query.delay_us"));
   EXPECT_TRUE(doc.at("latency").contains("p90_ms"));
-  EXPECT_TRUE(doc.at("engine").contains("trace_events_dropped"));
+  EXPECT_TRUE(doc.at("engine").contains("trace_spans_dropped"));
+  EXPECT_FALSE(doc.at("engine").contains("trace_events_dropped"));
 
   // Round trip.
   RunReport back;

@@ -3,6 +3,8 @@
 // rule-engine properties over randomly sampled intersection passes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/hlsrg_service.h"
 #include "core/rsu_agent.h"
 #include "core/vehicle_agent.h"
@@ -10,6 +12,12 @@
 
 namespace hlsrg {
 namespace {
+
+std::size_t count_spans(const TraceLog& log, SpanKind kind) {
+  return static_cast<std::size_t>(
+      std::count_if(log.spans().begin(), log.spans().end(),
+                    [kind](const Span& s) { return s.kind == kind; }));
+}
 
 TEST(RsuBehaviorTest, L2TablesCarryTheRecordsGrid) {
   // Every L2 summary must reference the L1 grid the *record* was made in —
@@ -75,8 +83,8 @@ TEST(NotificationBehaviorTest, EveryAckFollowsANotificationOrProbe) {
   world.attach_trace(&trace);
   world.run();
   // ACKs can only be triggered by a notification reaching the target.
-  EXPECT_LE(trace.count(TraceEventKind::kAckSent),
-            trace.count(TraceEventKind::kNotification));
+  EXPECT_LE(count_spans(trace, SpanKind::kAckLeg),
+            count_spans(trace, SpanKind::kNotification));
   // And successes cannot exceed ACKs.
   EXPECT_LE(world.metrics().queries_succeeded, world.metrics().acks_sent);
 }
@@ -87,8 +95,8 @@ TEST(CollectionBehaviorTest, HandoffsAndPushesHappen) {
   TraceLog trace;
   world.attach_trace(&trace);
   world.run_until(SimTime::from_sec(150));
-  EXPECT_GT(trace.count(TraceEventKind::kTableHandoff), 0u);
-  EXPECT_GT(trace.count(TraceEventKind::kTablePush), 0u);
+  EXPECT_GT(count_spans(trace, SpanKind::kTableHandoff), 0u);
+  EXPECT_GT(count_spans(trace, SpanKind::kTablePush), 0u);
 }
 
 TEST(CollectionBehaviorTest, CollectionTimerIsArmedOnlyAroundCenterDuty) {
