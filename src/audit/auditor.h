@@ -31,8 +31,7 @@ struct AuditScope {
   const RoadNetwork* net = nullptr;
   const GridHierarchy* hierarchy = nullptr;
   const MobilityModel* mobility = nullptr;
-  // Non-const: LocationService::tracker() has no const overload.
-  LocationService* service = nullptr;
+  const LocationService* service = nullptr;
   // Set only when the world runs HLSRG; table audits need the agents.
   const HlsrgService* hlsrg = nullptr;
 };

@@ -4,34 +4,31 @@
 
 #include "core/hlsrg_service.h"
 #include "core/location_service.h"
-#include "core/vehicle_agent.h"
 
 namespace hlsrg {
 
 void AvailabilityAuditor::check(const AuditScope& scope,
                                 AuditReport* report) const {
-  // Pending-retry state lives on the HLSRG vehicle agents; other protocols
-  // have no equivalent introspection, so the auditor covers HLSRG only.
-  if (scope.service == nullptr || scope.hlsrg == nullptr) return;
-  QueryTracker& tracker = scope.service->tracker();
-  const HlsrgConfig& cfg = scope.hlsrg->cfg();
+  if (scope.service == nullptr) return;
+  const QueryTracker& tracker = scope.service->tracker();
   const std::size_t n = tracker.count();
   for (QueryTracker::QueryId id = 0; id < n; ++id) {
     if (tracker.settled(id)) continue;
-    const VehicleId src = tracker.source_of(id);
-    const HlsrgVehicleAgent& agent = scope.hlsrg->vehicle_agent(src);
-    if (!agent.has_pending(id)) {
+    if (!tracker.armed(id)) {
       report->add(name(), "query " + std::to_string(id) +
-                              " unsettled with no retry pending at vehicle " +
-                              std::to_string(src.value()) +
+                              " unsettled with no timer armed at vehicle " +
+                              std::to_string(tracker.source_of(id).value()) +
                               " (silently lost)");
       continue;
     }
-    const int attempt = agent.pending_attempt(id);
-    if (attempt > cfg.max_attempts) {
+    // The retry bound is HLSRG's config; RLSMP and FLOOD arm fixed attempts.
+    if (scope.hlsrg == nullptr) continue;
+    const int max_attempts = scope.hlsrg->cfg().max_attempts;
+    if (tracker.attempt(id) > max_attempts) {
       report->add(name(), "query " + std::to_string(id) + " on attempt " +
-                              std::to_string(attempt) + " > max_attempts " +
-                              std::to_string(cfg.max_attempts));
+                              std::to_string(tracker.attempt(id)) +
+                              " > max_attempts " +
+                              std::to_string(max_attempts));
     }
   }
 }

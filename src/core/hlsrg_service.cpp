@@ -13,39 +13,20 @@ HlsrgService::HlsrgService(Simulator& sim, const RoadNetwork& net,
                            RadioMedium& medium, GpsrRouter& gpsr,
                            GeocastService& geocast, WiredNetwork& wired,
                            const RsuGrid* rsus, HlsrgConfig cfg)
-    : sim_(&sim),
+    : LocationService(sim, mobility, registry, medium, gpsr, geocast,
+                      PacketKind::kQueryRequest, PacketKind::kAck),
       net_(&net),
       hierarchy_(&hierarchy),
-      mobility_(&mobility),
-      registry_(&registry),
-      medium_(&medium),
-      gpsr_(&gpsr),
-      geocast_(&geocast),
       wired_(&wired),
       rsus_(rsus),
       cfg_(cfg),
-      rules_(net, hierarchy, mobility.turn_policy(), cfg_),
-      tracker_(sim) {
+      rules_(net, hierarchy, mobility.turn_policy(), cfg_) {
   HLSRG_CHECK_MSG(!cfg_.use_rsus || rsus_ != nullptr,
                   "use_rsus requires a deployed RsuGrid");
 
-  // One radio node + agent per vehicle.
-  const std::size_t n = mobility.vehicle_count();
-  vehicle_nodes_.reserve(n);
-  vehicle_agents_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const VehicleId v{i};
-    const NodeId node = registry.add_node(mobility.position(v));
-    registry.bind_vehicle(v, node);
-    // Parked flag seeded here, not in the world's later seeding pass: the
-    // churn manager's initial staffing scan (below) already reads it.
-    registry.set_vehicle_parked(v, mobility.parked(v));
-    vehicle_nodes_.push_back(node);
-    // reserve(n) above makes this the agent's final address — its timers
-    // capture `this` at construction time.
-    vehicle_agents_.emplace_back(*this, v, node);
-    registry.set_sink(node, &vehicle_agents_.back());
-  }
+  // One radio node + agent per vehicle. The parked flag is seeded here: the
+  // churn manager's initial staffing scan (below) already reads it.
+  register_fleet(*this, vehicle_agents_);
 
   // RSU agents (sinks installed onto the infra-registered nodes).
   if (rsus_ != nullptr && cfg_.use_rsus) {
@@ -83,16 +64,9 @@ HlsrgRsuAgent& HlsrgService::rsu_agent(RsuId id) {
   return rsu_agents_[id.index()];
 }
 
-QueryTracker::QueryId HlsrgService::issue_query(VehicleId src,
-                                                VehicleId dst) {
-  HLSRG_CHECK(src.index() < vehicle_agents_.size());
-  HLSRG_CHECK(dst.index() < vehicle_agents_.size());
-  const QueryTracker::QueryId qid = tracker_.issue(src, dst);
-  // Everything the source agent does now (lookup, election, GPSR send)
-  // nests under the query's root span.
-  SpanScope scope(*sim_, tracker_.span_of(qid));
+void HlsrgService::start_query(QueryTracker::QueryId qid, VehicleId src,
+                               VehicleId dst) {
   vehicle_agents_[src.index()].start_query(qid, dst);
-  return qid;
 }
 
 void HlsrgService::set_rsu_up(RsuId id, bool up) {
@@ -133,8 +107,8 @@ std::optional<QueryTracker::QueryId> HlsrgService::serve_cached(
   const RsuId id = rsus_->rsu_at(l2, GridLevel::kL2);
   HlsrgRsuAgent& agent = rsu_agents_[id.index()];
   if (!agent.up() || !agent.cache_fresh(dst)) return std::nullopt;
-  const QueryTracker::QueryId qid = tracker_.issue(src, dst);
-  SpanScope scope(*sim_, tracker_.span_of(qid));
+  const QueryTracker::QueryId qid = tracker().issue(src, dst);
+  SpanScope scope(sim(), tracker().span_of(qid));
   // Route the request straight at the warm RSU. Physics still applies — the
   // request rides GPSR and can be lost, and the retry path then walks the
   // normal hierarchy.
@@ -154,7 +128,7 @@ ServiceStats HlsrgService::service_stats() const {
     s.table_bytes += agent.l2_table().bytes() + agent.l3_table().bytes() +
                      agent.full_table().bytes();
   }
-  s.table_bytes += registry_->bytes();
+  s.table_bytes += registry().bytes();
   return s;
 }
 
@@ -165,7 +139,7 @@ void HlsrgService::sample_region_stats(
   // mirrors `regions`' region_of); RSU tables and the batching-window
   // backlog land in the RSU's (fixed) region.
   for (std::size_t i = 0; i < vehicle_agents_.size(); ++i) {
-    const int r = registry_->vehicle_region(VehicleId{i});
+    const int r = registry().vehicle_region(VehicleId{i});
     table_records[static_cast<std::size_t>(r)] +=
         vehicle_agents_[i].table().size();
   }
@@ -194,19 +168,17 @@ void HlsrgService::send_notification(NodeId origin,
   auto note = std::make_shared<NotificationPayload>();
   note->query_id = query.query_id;
   note->target = query.target;
-  note->src_vehicle = query.src_vehicle;
-  note->src_node = query.src_node;
   note->src_pos = query.src_pos;
   const Packet pkt = make_packet(PacketKind::kNotification, origin, note);
   metrics().query_packets_originated++;
   metrics().notifications_sent++;
   // Open until the query settles (the notification has no ACK of its own);
   // the route/flood legs below nest under it.
-  const SpanId note_span = sim_->begin_span(
+  const SpanId note_span = sim().begin_span(
       SpanKind::kNotification, query.target.value(), query.src_vehicle.value(),
       target_record.pos, query.query_id, 1,
       target_record.on_artery ? "artery_corridor" : "l1_grid_flood");
-  SpanScope scope(*sim_, note_span);
+  SpanScope scope(sim(), note_span);
 
   if (target_record.on_artery) {
     // Strategy (1): Dv updated from a main artery — geocast along the road
@@ -216,12 +188,12 @@ void HlsrgService::send_notification(NodeId origin,
     const GeocastRegion region = GeocastRegion::corridor(
         target_record.pos, target_record.dir, cfg_.corridor_half_width_m,
         cfg_.search_ahead_m, cfg_.corridor_behind_m);
-    gpsr_->send(
+    gpsr().send(
         origin, target_record.pos, std::nullopt, pkt,
         &metrics().query_transmissions,
         /*deliver=*/
         [this, pkt, region](NodeId at) {
-          geocast_->flood(at, pkt, region, &metrics().query_transmissions);
+          geocast().flood(at, pkt, region, &metrics().query_transmissions);
         },
         /*fail=*/{}, /*delivery_radius=*/cfg_.center_radius_m * 2.0);
   } else {
@@ -230,20 +202,8 @@ void HlsrgService::send_notification(NodeId origin,
     const GeocastRegion region = GeocastRegion::from_box(
         hierarchy_->cell_box(target_record.l1, GridLevel::kL1),
         /*margin=*/cfg_.corridor_half_width_m);
-    geocast_->flood(origin, pkt, region, &metrics().query_transmissions);
+    geocast().flood(origin, pkt, region, &metrics().query_transmissions);
   }
-}
-
-Packet HlsrgService::make_packet(PacketKind kind, NodeId origin,
-                                 std::shared_ptr<const PayloadBase> payload) {
-  Packet p;
-  p.id = packet_ids_.next();
-  p.kind = kind;
-  p.origin = origin;
-  p.origin_pos = registry_->position(origin);
-  p.created = sim_->now();
-  p.payload = std::move(payload);
-  return p;
 }
 
 }  // namespace hlsrg

@@ -42,19 +42,11 @@ class HlsrgService final : public LocationService, public MovementListener {
 
   // --- LocationService ------------------------------------------------------
   [[nodiscard]] const char* name() const override { return "HLSRG"; }
-  QueryTracker::QueryId issue_query(VehicleId src, VehicleId dst) override;
-  [[nodiscard]] QueryTracker& tracker() override { return tracker_; }
   [[nodiscard]] ServiceStats service_stats() const override;
-  [[nodiscard]] Vec2 vehicle_position(VehicleId v) const override {
-    return vehicle_pos(v);
-  }
   void sample_region_stats(const RegionTelemetry& regions,
                            std::vector<std::uint64_t>& table_records,
                            std::vector<std::uint64_t>& queue_depth)
       const override;
-  [[nodiscard]] PacketKind query_kind() const override {
-    return PacketKind::kQueryRequest;
-  }
   void configure_tier(const ServiceTierConfig& cfg) override;
   void on_overload(bool overloaded) override { overloaded_ = overloaded; }
   std::optional<QueryTracker::QueryId> serve_cached(VehicleId src,
@@ -68,34 +60,16 @@ class HlsrgService final : public LocationService, public MovementListener {
   void on_parked(VehicleId v) override;
   void on_departed(VehicleId v, bool abrupt) override;
 
-  // --- context shared with agents --------------------------------------------
-  [[nodiscard]] Simulator& sim() { return *sim_; }
-  [[nodiscard]] RunMetrics& metrics() { return sim_->metrics(); }
+  // --- HLSRG context shared with agents (the fleet base has the rest) ----
   [[nodiscard]] const HlsrgConfig& cfg() const { return cfg_; }
   [[nodiscard]] const RoadNetwork& network() const { return *net_; }
   [[nodiscard]] const GridHierarchy& hierarchy() const { return *hierarchy_; }
-  [[nodiscard]] MobilityModel& mobility() { return *mobility_; }
-  [[nodiscard]] NodeRegistry& registry() { return *registry_; }
-  [[nodiscard]] RadioMedium& medium() { return *medium_; }
-  [[nodiscard]] GpsrRouter& gpsr() { return *gpsr_; }
-  [[nodiscard]] GeocastService& geocast() { return *geocast_; }
   [[nodiscard]] WiredNetwork& wired() { return *wired_; }
   [[nodiscard]] const RsuGrid* rsus() const { return rsus_; }
   // Heavy-traffic tier knobs (default-constructed = tier off) and the
   // current admission-control regime; RSU/vehicle agents consult both.
   [[nodiscard]] const ServiceTierConfig& tier() const { return tier_; }
   [[nodiscard]] bool overloaded() const { return overloaded_; }
-
-  [[nodiscard]] NodeId node_of(VehicleId v) const {
-    return vehicle_nodes_[v.index()];
-  }
-  [[nodiscard]] Vec2 vehicle_pos(VehicleId v) const {
-    return mobility_->position(v);
-  }
-
-  // Builds a packet stamped with origin/time.
-  [[nodiscard]] Packet make_packet(PacketKind kind, NodeId origin,
-                                   std::shared_ptr<const PayloadBase> payload);
 
   // Acts as Dv's location server for `query` using the stored record: sends
   // the notification by directional road geocast (artery records; routed to
@@ -134,24 +108,18 @@ class HlsrgService final : public LocationService, public MovementListener {
   [[nodiscard]] const ChurnManager* churn() const { return churn_.get(); }
 
  private:
-  Simulator* sim_;
+  void start_query(QueryTracker::QueryId qid, VehicleId src,
+                   VehicleId dst) override;
+
   const RoadNetwork* net_;
   const GridHierarchy* hierarchy_;
-  MobilityModel* mobility_;
-  NodeRegistry* registry_;
-  RadioMedium* medium_;
-  GpsrRouter* gpsr_;
-  GeocastService* geocast_;
   WiredNetwork* wired_;
   const RsuGrid* rsus_;
   HlsrgConfig cfg_;
   ServiceTierConfig tier_;
   bool overloaded_ = false;
   UpdateRuleEngine rules_;
-  QueryTracker tracker_;
-  PacketIdSource packet_ids_;
 
-  std::vector<NodeId> vehicle_nodes_;
   // Agents stored by value: one contiguous block instead of a pointer array
   // plus one heap node per agent. The constructor reserves the exact counts
   // up front and the vectors never grow after that, so the `this` pointers

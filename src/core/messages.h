@@ -78,7 +78,6 @@ struct QueryPayload final : PayloadBase {
   // fallback is not swallowed by first-attempt bookkeeping.
   int attempt = 1;
   VehicleId src_vehicle;
-  NodeId src_node;
   Vec2 src_pos;
   VehicleId target;
   // True when this request is an L3->L3 forward (such requests are answered
@@ -139,15 +138,7 @@ struct ServerClaimPayload final : PayloadBase {
 struct NotificationPayload final : PayloadBase {
   QueryTracker::QueryId query_id = 0;
   VehicleId target;
-  VehicleId src_vehicle;
-  NodeId src_node;
   Vec2 src_pos;
-};
-
-struct AckPayload final : PayloadBase {
-  QueryTracker::QueryId query_id = 0;
-  VehicleId responder;
-  Vec2 responder_pos;
 };
 
 }  // namespace hlsrg

@@ -238,18 +238,13 @@ void HlsrgVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
     }
     case PacketKind::kNotification: {
       const auto& n = payload_as<NotificationPayload>(packet);
-      if (n.target == vehicle_) answer_notification(n);
+      // Dv answers with an ACK straight back to Sv.
+      if (n.target == vehicle_) svc_->send_ack(vehicle_, n.query_id, n.src_pos);
       return;
     }
-    case PacketKind::kAck: {
-      const auto& a = payload_as<AckPayload>(packet);
-      if (Pending* p = pending_.find(a.query_id)) {
-        svc_->sim().cancel(p->timeout);
-        pending_.erase(a.query_id);
-        svc_->tracker().succeed(a.query_id);
-      }
+    case PacketKind::kAck:
+      svc_->receive_ack(packet, vehicle_);
       return;
-    }
     default:
       return;  // other kinds are RSU-only
   }
@@ -368,7 +363,6 @@ void HlsrgVehicleAgent::send_request(QueryId qid, VehicleId target,
   q->query_id = qid;
   q->attempt = attempt;
   q->src_vehicle = vehicle_;
-  q->src_node = node_;
   q->src_pos = my_pos;
   q->target = target;
   const Packet pkt = svc_->make_packet(PacketKind::kQueryRequest, node_, q);
@@ -451,18 +445,11 @@ void HlsrgVehicleAgent::send_request(QueryId qid, VehicleId target,
                       pkt, &svc_->metrics().query_transmissions);
   }
 
-  Pending pending;
-  pending.target = target;
-  pending.attempt = attempt;
-  pending.timeout = svc_->sim().schedule_after(
-      retry_timeout(svc_->cfg(), attempt),
-      [this, qid, target, attempt] { on_ack_timeout(qid, target, attempt); });
-  pending_[qid] = pending;
+  svc_->tracker().arm(qid, attempt, retry_timeout(svc_->cfg(), attempt),
+                      [this, qid, attempt] { on_ack_timeout(qid, attempt); });
 }
 
-void HlsrgVehicleAgent::on_ack_timeout(QueryId qid, VehicleId target,
-                                       int attempt) {
-  pending_.erase(qid);
+void HlsrgVehicleAgent::on_ack_timeout(QueryId qid, int attempt) {
   if (attempt >= svc_->cfg().max_attempts) {
     svc_->tracker().fail(qid);
     return;
@@ -474,36 +461,7 @@ void HlsrgVehicleAgent::on_ack_timeout(QueryId qid, VehicleId target,
     svc_->tracker().fail(qid);
     return;
   }
-  send_request(qid, target, attempt + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Dv side: answer a notification with an ACK straight back to Sv.
-// ---------------------------------------------------------------------------
-
-void HlsrgVehicleAgent::answer_notification(
-    const NotificationPayload& notification) {
-  if (!answered_.insert(notification.query_id)) return;
-  auto ack = std::make_shared<AckPayload>();
-  ack->query_id = notification.query_id;
-  ack->responder = vehicle_;
-  ack->responder_pos = svc_->vehicle_pos(vehicle_);
-  const Packet pkt = svc_->make_packet(PacketKind::kAck, node_, ack);
-  svc_->metrics().query_packets_originated++;
-  svc_->metrics().acks_sent++;
-  // The ACK leg stays open until the query settles (the source's tracker
-  // closes it); nest it under the propagated context when one survived the
-  // flood, else directly under the query root.
-  Simulator& sim = svc_->sim();
-  SpanScope anchor(sim, sim.active_span() != kNoSpan
-                            ? sim.active_span()
-                            : svc_->tracker().span_of(notification.query_id));
-  const SpanId ack_span = sim.begin_span(
-      SpanKind::kAckLeg, vehicle_.value(), notification.src_vehicle.value(),
-      svc_->vehicle_pos(vehicle_), notification.query_id);
-  SpanScope scope(sim, ack_span);
-  svc_->gpsr().send(node_, notification.src_pos, notification.src_node, pkt,
-                    &svc_->metrics().query_transmissions);
+  send_request(qid, svc_->tracker().target_of(qid), attempt + 1);
 }
 
 }  // namespace hlsrg

@@ -1,6 +1,7 @@
 // Per-vehicle HLSRG behaviour: update sending, grid-center duty (collecting,
-// hand-off, serving), query origination, election participation, and the
-// Dv-side notification/ACK handshake.
+// hand-off, serving), query origination and its retry chain, and election
+// participation. The ACK handshake and each query's timer live in the
+// service's QueryTracker.
 #pragma once
 
 #include "core/location_table.h"
@@ -40,17 +41,6 @@ class HlsrgVehicleAgent final : public PacketSink {
   [[nodiscard]] L1Table& mutable_table() { return table_; }
   [[nodiscard]] VehicleId vehicle() const { return vehicle_; }
   [[nodiscard]] NodeId node() const { return node_; }
-  // True while an own-query attempt has its retry timer armed. Between any
-  // two events, every unsettled query this vehicle originated has a pending
-  // entry — the invariant the AvailabilityAuditor enforces.
-  [[nodiscard]] bool has_pending(QueryTracker::QueryId qid) const {
-    return pending_.contains(qid);
-  }
-  // Attempt number of the armed retry; 0 when none pending.
-  [[nodiscard]] int pending_attempt(QueryTracker::QueryId qid) const {
-    const Pending* p = pending_.find(qid);
-    return p == nullptr ? 0 : p->attempt;
-  }
   // True while the periodic collection timer is scheduled (tests).
   [[nodiscard]] bool collection_armed() const { return collection_armed_; }
 
@@ -96,10 +86,7 @@ class HlsrgVehicleAgent final : public PacketSink {
   // Own-query lifecycle.
   void send_request(QueryId qid, VehicleId target, int attempt,
                     NodeId preferred = NodeId{});
-  void on_ack_timeout(QueryId qid, VehicleId target, int attempt);
-
-  // Dv side.
-  void answer_notification(const NotificationPayload& notification);
+  void on_ack_timeout(QueryId qid, int attempt);
 
   HlsrgService* svc_;
   VehicleId vehicle_;
@@ -125,17 +112,6 @@ class HlsrgVehicleAgent final : public PacketSink {
   SortedIdSet<std::uint64_t> settled_elections_;
   // Requests this node has already re-broadcast into the center region.
   SortedIdSet<std::uint64_t> relayed_requests_;
-
-  // Outstanding queries this vehicle originated.
-  struct Pending {
-    VehicleId target;
-    int attempt = 1;
-    EventHandle timeout;
-  };
-  SmallFlatMap<QueryId, Pending> pending_;
-
-  // Notifications already answered (duplicate geocast receptions).
-  SortedIdSet<QueryId> answered_;
 };
 
 }  // namespace hlsrg

@@ -52,36 +52,12 @@ void FloodVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
     case PacketKind::kFloodQuery: {
       const auto& p = payload_as<FloodProbePayload>(packet);
       if (p.target != vehicle_) return;
-      if (!answered_.insert(p.query_id)) return;
-      auto ack = std::make_shared<FloodAckPayload>();
-      ack->query_id = p.query_id;
-      ack->responder = vehicle_;
-      svc_->metrics().query_packets_originated++;
-      svc_->metrics().acks_sent++;
-      // ACK leg back to the querier, open until the query settles. Geocast
-      // floods deliver without span context, so fall back to the query root.
-      Simulator& sim = svc_->sim();
-      SpanScope anchor(sim, sim.active_span() != kNoSpan
-                                ? sim.active_span()
-                                : svc_->tracker().span_of(p.query_id));
-      const SpanId ack_span = sim.begin_span(
-          SpanKind::kAckLeg, vehicle_.value(), p.src_vehicle.value(),
-          svc_->vehicle_pos(vehicle_), p.query_id);
-      SpanScope scope(sim, ack_span);
-      svc_->gpsr().send(node_, p.src_pos, p.src_node,
-                        svc_->make_packet(PacketKind::kFloodAck, node_, ack),
-                        &svc_->metrics().query_transmissions);
+      svc_->send_ack(vehicle_, p.query_id, p.src_pos);
       return;
     }
-    case PacketKind::kFloodAck: {
-      const auto& a = payload_as<FloodAckPayload>(packet);
-      if (Pending* p = pending_.find(a.query_id)) {
-        svc_->sim().cancel(p->timeout);
-        pending_.erase(a.query_id);
-        svc_->tracker().succeed(a.query_id);
-      }
+    case PacketKind::kFloodAck:
+      svc_->receive_ack(packet, vehicle_);
       return;
-    }
     default:
       return;
   }
@@ -90,13 +66,7 @@ void FloodVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
 void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
                                     VehicleId target) {
   cache_.purge(svc_->sim().now(), svc_->cfg().cache_expiry);
-  auto probe = std::make_shared<FloodProbePayload>();
-  probe->query_id = qid;
-  probe->src_vehicle = vehicle_;
-  probe->src_node = node_;
-  probe->src_pos = svc_->vehicle_pos(vehicle_);
-  probe->target = target;
-  svc_->metrics().query_packets_originated++;
+  const auto probe = make_probe(qid, target);
 
   if (const CacheEntry* hit = cache_.find(target)) {
     svc_->sim().count_region_served(probe->src_pos);
@@ -128,33 +98,29 @@ void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
         &svc_->metrics().query_transmissions);
   }
 
-  Pending p;
-  p.target = target;
-  p.timeout = svc_->sim().schedule_after(
-      svc_->cfg().ack_timeout, [this, qid, target] {
-        // One reactive retry after a failed probe; then give up.
-        if (!pending_.erase(qid)) return;
-        auto retry = std::make_shared<FloodProbePayload>();
-        retry->query_id = qid;
-        retry->src_vehicle = vehicle_;
-        retry->src_node = node_;
-        retry->src_pos = svc_->vehicle_pos(vehicle_);
-        retry->target = target;
-        svc_->metrics().query_packets_originated++;
-        svc_->geocast().flood(
-            node_, svc_->make_packet(PacketKind::kFloodQuery, node_, retry),
-            GeocastRegion::from_box(svc_->map_bounds(), 100.0),
-            &svc_->metrics().query_transmissions);
-        Pending again;
-        again.target = target;
-        again.timeout = svc_->sim().schedule_after(
-            svc_->cfg().ack_timeout, [this, qid] {
-              pending_.erase(qid);
-              svc_->tracker().fail(qid);
-            });
-        pending_[qid] = again;
-      });
-  pending_[qid] = p;
+  svc_->tracker().arm(qid, 1, svc_->cfg().ack_timeout,
+                      [this, qid] { reactive_retry(qid); });
+}
+
+void FloodVehicleAgent::reactive_retry(QueryTracker::QueryId qid) {
+  svc_->geocast().flood(
+      node_,
+      svc_->make_packet(PacketKind::kFloodQuery, node_,
+                        make_probe(qid, svc_->tracker().target_of(qid))),
+      GeocastRegion::from_box(svc_->map_bounds(), /*margin=*/100.0),
+      &svc_->metrics().query_transmissions);
+  svc_->tracker().arm(qid, 2, svc_->cfg().ack_timeout,
+                      [this, qid] { svc_->tracker().fail(qid); });
+}
+
+std::shared_ptr<FloodProbePayload> FloodVehicleAgent::make_probe(
+    QueryTracker::QueryId qid, VehicleId target) {
+  auto probe = std::make_shared<FloodProbePayload>();
+  probe->query_id = qid;
+  probe->src_pos = svc_->vehicle_pos(vehicle_);
+  probe->target = target;
+  svc_->metrics().query_packets_originated++;
+  return probe;
 }
 
 }  // namespace hlsrg

@@ -5,9 +5,7 @@
 
 #include "flood/flood_messages.h"
 #include "net/node_registry.h"
-#include "sim/event_queue.h"
 #include "sim/expiring_table.h"
-#include "util/flat_table.h"
 
 namespace hlsrg {
 
@@ -35,21 +33,18 @@ class FloodVehicleAgent final : public PacketSink {
   };
 
   void flood_own_location();
+  // The probe both attempts send (counted as an originated query packet).
+  [[nodiscard]] std::shared_ptr<FloodProbePayload> make_probe(
+      QueryTracker::QueryId qid, VehicleId target);
+  // After a failed first attempt: one network-wide reactive flood, then the
+  // last timer.
+  void reactive_retry(QueryTracker::QueryId qid);
 
   FloodService* svc_;
   VehicleId vehicle_;
   NodeId node_;
   double distance_since_flood_;
   ExpiringTable<CacheEntry> cache_;
-
-  struct Pending {
-    VehicleId target;
-    EventHandle timeout;
-  };
-  // Flat agent-local bookkeeping (a handful of live entries per vehicle;
-  // DESIGN.md §15).
-  SmallFlatMap<QueryTracker::QueryId, Pending> pending_;
-  SortedIdSet<QueryTracker::QueryId> answered_;
 };
 
 }  // namespace hlsrg

@@ -20,15 +20,8 @@ struct FloodUpdatePayload final : PayloadBase {
 
 struct FloodProbePayload final : PayloadBase {
   QueryTracker::QueryId query_id = 0;
-  VehicleId src_vehicle;
-  NodeId src_node;
   Vec2 src_pos;
   VehicleId target;
-};
-
-struct FloodAckPayload final : PayloadBase {
-  QueryTracker::QueryId query_id = 0;
-  VehicleId responder;
 };
 
 }  // namespace hlsrg

@@ -9,28 +9,11 @@ FloodService::FloodService(Simulator& sim, MobilityModel& mobility,
                            NodeRegistry& registry, RadioMedium& medium,
                            GpsrRouter& gpsr, GeocastService& geocast,
                            Aabb map_bounds, FloodConfig cfg)
-    : sim_(&sim),
-      mobility_(&mobility),
-      registry_(&registry),
-      medium_(&medium),
-      gpsr_(&gpsr),
-      geocast_(&geocast),
+    : LocationService(sim, mobility, registry, medium, gpsr, geocast,
+                      PacketKind::kFloodQuery, PacketKind::kFloodAck),
       map_bounds_(map_bounds),
-      cfg_(cfg),
-      tracker_(sim) {
-  const std::size_t n = mobility.vehicle_count();
-  vehicle_nodes_.reserve(n);
-  vehicle_agents_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const VehicleId v{i};
-    const NodeId node = registry.add_node(mobility.position(v));
-    registry.bind_vehicle(v, node);
-    registry.set_vehicle_parked(v, mobility.parked(v));
-    vehicle_nodes_.push_back(node);
-    // reserve(n) above makes this the agent's final address.
-    vehicle_agents_.emplace_back(*this, v, node);
-    registry.set_sink(node, &vehicle_agents_.back());
-  }
+      cfg_(cfg) {
+  register_fleet(*this, vehicle_agents_);
   mobility.add_listener(this);
 }
 
@@ -40,14 +23,9 @@ FloodVehicleAgent& FloodService::vehicle_agent(VehicleId v) {
   return vehicle_agents_[v.index()];
 }
 
-QueryTracker::QueryId FloodService::issue_query(VehicleId src, VehicleId dst) {
-  HLSRG_CHECK(src.index() < vehicle_agents_.size());
-  HLSRG_CHECK(dst.index() < vehicle_agents_.size());
-  const QueryTracker::QueryId qid = tracker_.issue(src, dst);
-  // Nest the source agent's synchronous work under the query root span.
-  SpanScope scope(*sim_, tracker_.span_of(qid));
+void FloodService::start_query(QueryTracker::QueryId qid, VehicleId src,
+                               VehicleId dst) {
   vehicle_agents_[src.index()].start_query(qid, dst);
-  return qid;
 }
 
 ServiceStats FloodService::service_stats() const {
@@ -56,7 +34,7 @@ ServiceStats FloodService::service_stats() const {
     s.table_records += agent.cache_size();
     s.table_bytes += agent.cache_bytes();
   }
-  s.table_bytes += registry_->bytes();
+  s.table_bytes += registry().bytes();
   return s;
 }
 
@@ -69,7 +47,7 @@ void FloodService::sample_region_stats(
   (void)regions;
   (void)queue_depth;
   for (std::size_t i = 0; i < vehicle_agents_.size(); ++i) {
-    const int r = registry_->vehicle_region(VehicleId{i});
+    const int r = registry().vehicle_region(VehicleId{i});
     table_records[static_cast<std::size_t>(r)] +=
         vehicle_agents_[i].cache_size();
   }
@@ -77,18 +55,6 @@ void FloodService::sample_region_stats(
 
 void FloodService::on_moved(VehicleId v, Vec2 before, Vec2 after) {
   vehicle_agents_[v.index()].handle_moved(before, after);
-}
-
-Packet FloodService::make_packet(PacketKind kind, NodeId origin,
-                                 std::shared_ptr<const PayloadBase> payload) {
-  Packet p;
-  p.id = packet_ids_.next();
-  p.kind = kind;
-  p.origin = origin;
-  p.origin_pos = registry_->position(origin);
-  p.created = sim_->now();
-  p.payload = std::move(payload);
-  return p;
 }
 
 }  // namespace hlsrg

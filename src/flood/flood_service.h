@@ -37,55 +37,30 @@ class FloodService final : public LocationService, public MovementListener {
 
   // --- LocationService ------------------------------------------------------
   [[nodiscard]] const char* name() const override { return "FLOOD"; }
-  QueryTracker::QueryId issue_query(VehicleId src, VehicleId dst) override;
-  [[nodiscard]] QueryTracker& tracker() override { return tracker_; }
   [[nodiscard]] ServiceStats service_stats() const override;
-  [[nodiscard]] Vec2 vehicle_position(VehicleId v) const override {
-    return vehicle_pos(v);
-  }
   void sample_region_stats(const RegionTelemetry& regions,
                            std::vector<std::uint64_t>& table_records,
                            std::vector<std::uint64_t>& queue_depth)
       const override;
-  [[nodiscard]] PacketKind query_kind() const override {
-    return PacketKind::kFloodQuery;
-  }
 
   // --- MovementListener -----------------------------------------------------
   void on_moved(VehicleId v, Vec2 before, Vec2 after) override;
 
-  // --- agent context ---------------------------------------------------------
-  [[nodiscard]] Simulator& sim() { return *sim_; }
-  [[nodiscard]] RunMetrics& metrics() { return sim_->metrics(); }
+  // --- FLOOD context shared with agents (the fleet base has the rest) ----
   [[nodiscard]] const FloodConfig& cfg() const { return cfg_; }
-  [[nodiscard]] MobilityModel& mobility() { return *mobility_; }
-  [[nodiscard]] RadioMedium& medium() { return *medium_; }
-  [[nodiscard]] GpsrRouter& gpsr() { return *gpsr_; }
-  [[nodiscard]] GeocastService& geocast() { return *geocast_; }
   [[nodiscard]] const Aabb& map_bounds() const { return map_bounds_; }
-  [[nodiscard]] Vec2 vehicle_pos(VehicleId v) const {
-    return mobility_->position(v);
-  }
-  [[nodiscard]] Packet make_packet(PacketKind kind, NodeId origin,
-                                   std::shared_ptr<const PayloadBase> payload);
   // Out-of-line: the agents are stored by value and indexing the vector
   // needs the complete (forward-declared) type.
   [[nodiscard]] FloodVehicleAgent& vehicle_agent(VehicleId v);
 
  private:
-  Simulator* sim_;
-  MobilityModel* mobility_;
-  NodeRegistry* registry_;
-  RadioMedium* medium_;
-  GpsrRouter* gpsr_;
-  GeocastService* geocast_;
+  void start_query(QueryTracker::QueryId qid, VehicleId src,
+                   VehicleId dst) override;
+
   Aabb map_bounds_;
   FloodConfig cfg_;
-  QueryTracker tracker_;
-  PacketIdSource packet_ids_;
 
-  std::vector<NodeId> vehicle_nodes_;
-  // By value, reserved to the exact count in the constructor (agents capture
+  // By value, reserved to the exact count by register_fleet (agents capture
   // `this` in scheduled timers; the vector must never reallocate).
   std::vector<FloodVehicleAgent> vehicle_agents_;
 };

@@ -100,15 +100,15 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
     }
   }
 
-  // Seed the registry's vehicle SoA rows (the service just bound them):
-  // initial velocity, parked flag, and L3 region. From here on the pose
-  // bridge keeps them current.
+  // Seed the rest of the registry's vehicle SoA rows (the service just bound
+  // them and seeded the parked flag): initial velocity and L3 region. From
+  // here on the pose bridge keeps them current.
   for (int i = 0; i < cfg_.vehicles; ++i) {
     const VehicleId v{static_cast<std::uint32_t>(i)};
-    const bool parked = mobility_->parked(v);
-    registry_.set_vehicle_parked(v, parked);
     registry_.set_vehicle_velocity(
-        v, parked ? Vec2{} : mobility_->heading(v) * mobility_->state(v).speed);
+        v, mobility_->parked(v)
+               ? Vec2{}
+               : mobility_->heading(v) * mobility_->state(v).speed);
     registry_.set_vehicle_region(v,
                                  regions_.region_of(mobility_->position(v)));
   }

@@ -234,18 +234,12 @@ void RlsmpVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
     }
     case PacketKind::kRlsmpNotify: {
       const auto& n = payload_as<RlsmpNotifyPayload>(packet);
-      if (n.target == vehicle_) answer_notify(n);
+      if (n.target == vehicle_) svc_->send_ack(vehicle_, n.query_id, n.src_pos);
       return;
     }
-    case PacketKind::kRlsmpAck: {
-      const auto& a = payload_as<RlsmpAckPayload>(packet);
-      if (Pending* p = pending_.find(a.query_id)) {
-        svc_->sim().cancel(p->timeout);
-        pending_.erase(a.query_id);
-        svc_->tracker().succeed(a.query_id);
-      }
+    case PacketKind::kRlsmpAck:
+      svc_->receive_ack(packet, vehicle_);
       return;
-    }
     default:
       return;
   }
@@ -375,8 +369,6 @@ void RlsmpVehicleAgent::handle_cell_leader_query(
   auto note = std::make_shared<RlsmpNotifyPayload>();
   note->query_id = query.query_id;
   note->target = query.target;
-  note->src_vehicle = query.src_vehicle;
-  note->src_node = query.src_node;
   note->src_pos = query.src_pos;
   svc_->metrics().query_packets_originated++;
   svc_->metrics().notifications_sent++;
@@ -394,28 +386,6 @@ void RlsmpVehicleAgent::handle_cell_leader_query(
       &svc_->metrics().query_transmissions);
 }
 
-void RlsmpVehicleAgent::answer_notify(const RlsmpNotifyPayload& notify) {
-  if (!answered_.insert(notify.query_id)) return;
-  auto ack = std::make_shared<RlsmpAckPayload>();
-  ack->query_id = notify.query_id;
-  ack->responder = vehicle_;
-  svc_->metrics().query_packets_originated++;
-  svc_->metrics().acks_sent++;
-  // ACK leg back to Sv, open until the query settles.
-  Simulator& sim = svc_->sim();
-  SpanScope anchor(sim, sim.active_span() != kNoSpan
-                            ? sim.active_span()
-                            : svc_->tracker().span_of(notify.query_id));
-  const SpanId ack_span =
-      sim.begin_span(SpanKind::kAckLeg, vehicle_.value(),
-                     notify.src_vehicle.value(), svc_->vehicle_pos(vehicle_),
-                     notify.query_id);
-  SpanScope scope(sim, ack_span);
-  svc_->gpsr().send(node_, notify.src_pos, notify.src_node,
-                    svc_->make_packet(PacketKind::kRlsmpAck, node_, ack),
-                    &svc_->metrics().query_transmissions);
-}
-
 // ---------------------------------------------------------------------------
 // Sv side.
 // ---------------------------------------------------------------------------
@@ -428,7 +398,6 @@ void RlsmpVehicleAgent::start_query(QueryId qid, VehicleId target) {
   auto q = std::make_shared<RlsmpQueryPayload>();
   q->query_id = qid;
   q->src_vehicle = vehicle_;
-  q->src_node = node_;
   q->src_pos = my_pos;
   q->target = target;
   q->origin_cluster = my_cluster;
@@ -440,13 +409,8 @@ void RlsmpVehicleAgent::start_query(QueryId qid, VehicleId target) {
                     /*deliver=*/{}, /*fail=*/{},
                     /*delivery_radius=*/svc_->cfg().leader_radius_m);
 
-  Pending p;
-  p.target = target;
-  p.timeout = svc_->sim().schedule_after(svc_->cfg().ack_timeout, [this, qid] {
-    pending_.erase(qid);
-    svc_->tracker().fail(qid);
-  });
-  pending_[qid] = p;
+  svc_->tracker().arm(qid, 1, svc_->cfg().ack_timeout,
+                      [this, qid] { svc_->tracker().fail(qid); });
 }
 
 }  // namespace hlsrg

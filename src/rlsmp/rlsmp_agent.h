@@ -1,6 +1,6 @@
 // Per-vehicle RLSMP behaviour: cell-crossing updates, cell-leader duty,
 // LSC duty (cluster table, query election, spiral forwarding), and the
-// Sv/Dv ends of the query handshake.
+// Sv/Dv ends of the query handshake (timer and ACK through the tracker).
 #pragma once
 
 #include "net/node_registry.h"
@@ -59,8 +59,6 @@ class RlsmpVehicleAgent final : public PacketSink {
   // Cell-leader notification path.
   void handle_cell_leader_query(const RlsmpQueryPayload& query);
 
-  void answer_notify(const RlsmpNotifyPayload& notify);
-
   RlsmpService* svc_;
   VehicleId vehicle_;
   NodeId node_;
@@ -86,13 +84,6 @@ class RlsmpVehicleAgent final : public PacketSink {
   // Batch packets already relayed into the LSC region, keyed by packet id.
   SortedIdSet<std::uint32_t> relayed_batches_;
   SortedIdSet<QueryId> handled_notify_forwards_;
-  SortedIdSet<QueryId> answered_;
-
-  struct Pending {
-    VehicleId target;
-    EventHandle timeout;
-  };
-  SmallFlatMap<QueryId, Pending> pending_;
 };
 
 }  // namespace hlsrg

@@ -49,7 +49,6 @@ struct LeaderHandoffPayload final : PayloadBase {
 struct RlsmpQueryPayload final : PayloadBase {
   QueryTracker::QueryId query_id = 0;
   VehicleId src_vehicle;
-  NodeId src_node;
   Vec2 src_pos;
   VehicleId target;
   // Spiral bookkeeping: cluster of origin and position in its spiral order.
@@ -74,14 +73,7 @@ struct RlsmpBatchPayload final : PayloadBase {
 struct RlsmpNotifyPayload final : PayloadBase {
   QueryTracker::QueryId query_id = 0;
   VehicleId target;
-  VehicleId src_vehicle;
-  NodeId src_node;
   Vec2 src_pos;
-};
-
-struct RlsmpAckPayload final : PayloadBase {
-  QueryTracker::QueryId query_id = 0;
-  VehicleId responder;
 };
 
 }  // namespace hlsrg

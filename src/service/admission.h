@@ -50,7 +50,7 @@ class QueryAdmission {
       ++m.queries_shed;
       m.channel.add_shed(static_cast<int>(svc_->query_kind()));
       if (RegionTelemetry* regions = sim_->regions()) {
-        ++regions->at(regions->region_of(svc_->vehicle_position(src)))
+        ++regions->at(regions->region_of(svc_->vehicle_pos(src)))
               .queries_shed;
       }
       sim_->instant_span(SpanKind::kShed, SpanStatus::kFailed, src.value(),
@@ -75,7 +75,7 @@ class QueryAdmission {
     if (RegionTelemetry* regions = sim_->regions()) {
       ++regions
             ->at(regions->region_of(
-                svc_->vehicle_position(svc_->tracker().source_of(id))))
+                svc_->vehicle_pos(svc_->tracker().source_of(id))))
             .queries_shed;
     }
     sim_->instant_span(SpanKind::kShed, SpanStatus::kFailed,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <vector>
 
 #include "obs/profiler.h"
 #include "report/json.h"
@@ -18,15 +19,25 @@ constexpr int kProfilePid = 3;
 // 1 + kind = spans whose root has no query id.
 constexpr std::int64_t kQueryTidBase = 1000;
 
-std::int64_t track_for(const TraceLog& log, const Span& span) {
-  const Span* root = &span;
-  while (root->parent != kNoSpan) {
-    const Span* parent = log.span(root->parent);
-    if (parent == nullptr) break;
-    root = parent;
+// The span's own track: its query's tree, or its kind's no-query track.
+std::int64_t own_track(const Span& span) {
+  if (span.query_id != kNoQuery) return kQueryTidBase + span.query_id;
+  return 1 + static_cast<std::int64_t>(span.kind);
+}
+
+// Every span sits on its root's track. A parent begins before its child, so
+// its id is lower and one forward pass sees each parent's track before any
+// child's. A span whose parent the log does not hold (dropped at the cap) is
+// its own root.
+std::vector<std::int64_t> span_tracks(const TraceLog& log) {
+  const std::vector<Span>& spans = log.spans();
+  std::vector<std::int64_t> tracks(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanId parent = spans[i].parent;
+    tracks[i] = parent != kNoSpan && parent <= i ? tracks[parent - 1]
+                                                 : own_track(spans[i]);
   }
-  if (root->query_id != kNoQuery) return kQueryTidBase + root->query_id;
-  return 1 + static_cast<std::int64_t>(root->kind);
+  return tracks;
 }
 
 JsonValue span_args(const Span& s) {
@@ -110,8 +121,10 @@ JsonValue chrome_trace_document(const TraceLog& log,
   }
 
   std::map<std::int64_t, std::string> sim_threads;
-  for (const Span& s : log.spans()) {
-    const std::int64_t tid = track_for(log, s);
+  const std::vector<std::int64_t> tracks = span_tracks(log);
+  for (std::size_t i = 0; i < tracks.size(); ++i) {
+    const Span& s = log.spans()[i];
+    const std::int64_t tid = tracks[i];
     if (tid >= kQueryTidBase) {
       sim_threads.emplace(
           tid, "query " + std::to_string(tid - kQueryTidBase));

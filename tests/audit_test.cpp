@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "audit/audit_runner.h"
+#include "audit/availability_audit.h"
 #include "audit/churn_audit.h"
 #include "audit/conservation_audit.h"
 #include "audit/grid_audit.h"
@@ -89,6 +90,61 @@ TEST_F(AuditWorldTest, RlsmpWorldAuditsCleanWithoutHlsrgState) {
   const AuditReport report = rlsmp.audit_now();
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
+
+// --- availability auditor ----------------------------------------------------
+// The tracker owns every protocol's query timer, so the "no query silently
+// lost" law holds on HLSRG, RLSMP and FLOOD worlds alike.
+
+class AvailabilityAuditTest : public ::testing::TestWithParam<Protocol> {
+ protected:
+  AvailabilityAuditTest() : world_(small_scenario(), GetParam()) {
+    // Into the query window until queries are in flight, each with its
+    // timer armed (FLOOD settles most within a few hops).
+    SimTime t = SimTime::from_sec(60.0);
+    while (world_.service().tracker().outstanding() == 0 &&
+           t < SimTime::from_sec(70.0)) {
+      t += SimTime::from_ms(50);
+      world_.run_until(t);
+    }
+  }
+  AuditReport run_auditor() {
+    AuditReport report;
+    AvailabilityAuditor{}.check(world_.audit_scope(), &report);
+    return report;
+  }
+  World world_;
+};
+
+TEST_P(AvailabilityAuditTest, CleanWorldWithQueriesInFlightPasses) {
+  ASSERT_GT(world_.service().tracker().outstanding(), 0u);
+  const AuditReport report = world_.audit_now();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST_P(AvailabilityAuditTest, DetectsUnsettledQueryWithDisarmedTimer) {
+  QueryTracker& tracker = world_.service().tracker();
+  // A query whose timer fires into a dropped continuation: nothing fails it
+  // and nothing arms the next attempt.
+  const QueryTracker::QueryId qid = tracker.issue(VehicleId{0u}, VehicleId{1u});
+  tracker.arm(qid, 1, SimTime::from_ms(100), [] {});
+  EXPECT_TRUE(run_auditor().ok()) << "armed: not yet lost";
+
+  world_.run_until(world_.sim().now() + SimTime::from_ms(200));
+  ASSERT_FALSE(tracker.settled(qid));
+  const AuditReport report = run_auditor();
+  ASSERT_EQ(report.violations().size(), 1u) << report.to_string();
+  EXPECT_NE(report.violations()[0].what.find(
+                "query " + std::to_string(qid) + " unsettled"),
+            std::string::npos)
+      << report.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, AvailabilityAuditTest,
+    ::testing::Values(Protocol::kHlsrg, Protocol::kRlsmp, Protocol::kFlood),
+    [](const ::testing::TestParamInfo<Protocol>& param) {
+      return std::string(protocol_name(param.param));
+    });
 
 // --- grid auditor ----------------------------------------------------------
 

@@ -293,5 +293,71 @@ TEST(MessagesTest, PayloadDowncast) {
   EXPECT_EQ(payload_as<UpdatePayload>(pkt).record.vehicle, VehicleId{5u});
 }
 
+// ---------------------------------------------------------------------------
+// QueryTracker: each query's ACK timer lives in its tracker record.
+// ---------------------------------------------------------------------------
+
+TEST(QueryTrackerTest, SucceedCancelsTheArmedTimer) {
+  Simulator sim(1);
+  QueryTracker tracker(sim);
+  const QueryTracker::QueryId id = tracker.issue(VehicleId{0u}, VehicleId{1u});
+  bool fired = false;
+  tracker.arm(id, 1, SimTime::from_sec(5.0), [&fired] { fired = true; });
+  EXPECT_TRUE(tracker.armed(id));
+  EXPECT_EQ(tracker.attempt(id), 1);
+  sim.run_until(SimTime::from_sec(1.0));
+
+  const std::uint64_t cancelled = sim.queue().events_cancelled();
+  tracker.succeed(id);
+  EXPECT_EQ(sim.queue().events_cancelled(), cancelled + 1);
+  EXPECT_FALSE(tracker.armed(id));
+  // A duplicate ACK settles nothing and cancels nothing.
+  tracker.succeed(id);
+  EXPECT_EQ(sim.queue().events_cancelled(), cancelled + 1);
+
+  sim.run_until(SimTime::from_sec(10.0));
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(tracker.succeeded(id));
+  EXPECT_EQ(tracker.latency(id), SimTime::from_sec(1.0));
+  EXPECT_EQ(sim.metrics().queries_succeeded, 1u);
+}
+
+TEST(QueryTrackerTest, FailOnAFiredTimerCancelsNothing) {
+  Simulator sim(1);
+  QueryTracker tracker(sim);
+  const QueryTracker::QueryId id = tracker.issue(VehicleId{0u}, VehicleId{1u});
+  bool armed_in_callback = true;
+  tracker.arm(id, 2, SimTime::from_sec(5.0), [&] {
+    // The fired timer is disarmed before its callback runs.
+    armed_in_callback = tracker.armed(id);
+    tracker.fail(id);
+  });
+  sim.run_until(SimTime::from_sec(10.0));
+  EXPECT_FALSE(armed_in_callback);
+  EXPECT_TRUE(tracker.settled(id));
+  EXPECT_FALSE(tracker.succeeded(id));
+  EXPECT_EQ(tracker.attempt(id), 2);
+  EXPECT_EQ(sim.queue().events_cancelled(), 0u);
+  EXPECT_EQ(sim.metrics().queries_failed, 1u);
+}
+
+TEST(QueryTrackerTest, FiredTimerMayArmTheNextAttempt) {
+  Simulator sim(1);
+  QueryTracker tracker(sim);
+  const QueryTracker::QueryId id = tracker.issue(VehicleId{0u}, VehicleId{1u});
+  tracker.arm(id, 1, SimTime::from_sec(1.0), [&] {
+    tracker.arm(id, 2, SimTime::from_sec(1.0), [&] { tracker.fail(id); });
+  });
+  sim.run_until(SimTime::from_sec(1.5));
+  EXPECT_TRUE(tracker.armed(id));
+  EXPECT_EQ(tracker.attempt(id), 2);
+  sim.run_until(SimTime::from_sec(3.0));
+  EXPECT_TRUE(tracker.settled(id));
+  EXPECT_FALSE(tracker.armed(id));
+  // Dv answers each query once, however many notification copies arrive.
+  EXPECT_TRUE(tracker.answer(id));
+  EXPECT_FALSE(tracker.answer(id));
+}
+
 }  // namespace
 }  // namespace hlsrg

@@ -357,6 +357,62 @@ TEST(ChromeTraceTest, WriteChromeTraceProducesParsableFile) {
   EXPECT_TRUE(loaded->at("traceEvents").is_array());
 }
 
+// Every span sits on its root's track: a deep chain of query-less legs under
+// a query root lands on the query's track, and a span whose parent the log
+// does not hold (dropped at the cap) roots its own track.
+TEST(ChromeTraceTest, SpansSitOnTheirRootsTrack) {
+  TraceLog trace;
+  const SimTime t = SimTime::from_sec(1.0);
+  Span root;
+  root.kind = SpanKind::kQuery;
+  root.query_id = 7;
+  SpanId parent = trace.begin_span(root, t);
+  for (int depth = 0; depth < 40; ++depth) {
+    Span leg;
+    leg.kind = depth % 2 == 0 ? SpanKind::kGpsrRoute : SpanKind::kRadioHop;
+    leg.parent = parent;
+    parent = trace.begin_span(leg, t);
+  }
+  Span update;
+  update.kind = SpanKind::kUpdate;
+  trace.begin_span(update, t);
+  Span orphan;
+  orphan.kind = SpanKind::kNotification;
+  orphan.query_id = 9;
+  orphan.parent = 1000;  // never stored
+  Span orphan_child;
+  orphan_child.kind = SpanKind::kGpsrRoute;
+  orphan_child.parent = trace.begin_span(orphan, t);
+  trace.begin_span(orphan_child, t);
+  Span bare_orphan;
+  bare_orphan.kind = SpanKind::kWiredHop;
+  bare_orphan.parent = 2000;  // never stored, no query id
+  trace.begin_span(bare_orphan, t);
+
+  const JsonValue doc = chrome_trace_document(trace, {});
+  std::vector<std::int64_t> tids;
+  std::set<std::string> thread_names;
+  for (const JsonValue& e : doc.at("traceEvents").items()) {
+    if (e.at("ph").as_string() == "M") {
+      if (e.contains("tid")) {
+        thread_names.insert(e.at("args").at("name").as_string());
+      }
+      continue;
+    }
+    tids.push_back(e.at("tid").as_int());
+  }
+  const std::int64_t kind_track = 1;  // 1 + kind for no-query roots
+  std::vector<std::int64_t> expected(41, 1007);
+  expected.push_back(kind_track + static_cast<int>(SpanKind::kUpdate));
+  expected.push_back(1009);
+  expected.push_back(1009);
+  expected.push_back(kind_track + static_cast<int>(SpanKind::kWiredHop));
+  EXPECT_EQ(tids, expected);
+  EXPECT_EQ(thread_names,
+            (std::set<std::string>{"query 7", "query 9", "update (no query)",
+                                   "wired_hop (no query)"}));
+}
+
 // ---------------------------------------------------------------------------
 // Report plumbing
 // ---------------------------------------------------------------------------

@@ -187,5 +187,48 @@ TEST(MultiL3Test, QueriesResolveAcrossL3Regions) {
   EXPECT_GT(m.wired_messages, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// ACK handshake (shared by all three protocols)
+// ---------------------------------------------------------------------------
+
+// An ACK settles its query only at the query's source: delivered to the
+// target or to a bystander it is ignored and the timer stays armed.
+TEST(AckBehaviorTest, AckAtANonSourceVehicleDoesNotSettle) {
+  const std::pair<Protocol, PacketKind> protocols[] = {
+      {Protocol::kHlsrg, PacketKind::kAck},
+      {Protocol::kRlsmp, PacketKind::kRlsmpAck},
+      {Protocol::kFlood, PacketKind::kFloodAck}};
+  for (const auto& [protocol, ack_kind] : protocols) {
+    SCOPED_TRACE(protocol_name(protocol));
+    ScenarioConfig cfg = paper_scenario(120, 31);
+    cfg.map.size_m = 1000.0;
+    World world(cfg, protocol);
+    world.run_until(SimTime::from_sec(20.0));  // before the workload starts
+    LocationService& svc = world.service();
+    const VehicleId src{0u};
+    const VehicleId dst{1u};
+    const QueryTracker::QueryId qid = svc.issue_query(src, dst);
+    ASSERT_TRUE(svc.tracker().armed(qid));
+    const auto deliver_ack_to = [&](VehicleId at) {
+      auto ack = std::make_shared<AckPayload>();
+      ack->query_id = qid;
+      const NodeId from = svc.node_of(dst);
+      world.registry().sink(svc.node_of(at))->on_receive(
+          svc.make_packet(ack_kind, from, ack), from);
+    };
+
+    deliver_ack_to(dst);
+    deliver_ack_to(VehicleId{2u});
+    EXPECT_FALSE(svc.tracker().settled(qid));
+    EXPECT_TRUE(svc.tracker().armed(qid));
+
+    const std::uint64_t cancelled = world.sim().queue().events_cancelled();
+    deliver_ack_to(src);
+    EXPECT_TRUE(svc.tracker().succeeded(qid));
+    EXPECT_FALSE(svc.tracker().armed(qid));
+    EXPECT_EQ(world.sim().queue().events_cancelled(), cancelled + 1);
+  }
+}
+
 }  // namespace
 }  // namespace hlsrg
