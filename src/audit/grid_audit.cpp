@@ -84,71 +84,65 @@ void GridAuditor::check(const AuditScope& scope, AuditReport* report) const {
       report->add("grid", os.str());
       continue;
     }
+    // Appended, not `"L" + std::to_string(...)`: that form trips a
+    // -Wrestrict false positive in GCC 12 Release builds.
+    std::string lvl = "L";
+    lvl += std::to_string(static_cast<int>(level));
     for (int row = 0; row < rows; ++row) {
       for (int col = 0; col < cols; ++col) {
         const GridCoord c{col, row};
         const Aabb box = h->cell_box(c, level);
-        const int lvl = static_cast<int>(level);
 
         if (box.width() <= 0.0 || box.height() <= 0.0) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
-                                  coord_str(c) + " has non-positive area");
+          report->add("grid",
+                      lvl + " cell " + coord_str(c) + " has non-positive area");
           continue;
         }
         // Tiling: the first/last cells reach the partition span and each
         // cell abuts its east/north neighbor exactly. With ordered lines
         // this proves full coverage with no overlap (cells are half-open).
         if (col == 0 && std::abs(box.lo.x - span.lo.x) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) + " west edge gap at " +
-                                  coord_str(c));
+          report->add("grid", lvl + " west edge gap at " + coord_str(c));
         }
         if (row == 0 && std::abs(box.lo.y - span.lo.y) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) +
-                                  " south edge gap at " + coord_str(c));
+          report->add("grid", lvl + " south edge gap at " + coord_str(c));
         }
         if (col + 1 < cols) {
           const Aabb east = h->cell_box({col + 1, row}, level);
           if (std::abs(box.hi.x - east.lo.x) > kExactTol) {
-            report->add("grid", "L" + std::to_string(lvl) + " cells " +
-                                    coord_str(c) + " and " +
+            report->add("grid", lvl + " cells " + coord_str(c) + " and " +
                                     coord_str({col + 1, row}) +
                                     " overlap or leave a gap");
           }
         } else if (std::abs(box.hi.x - span.hi.x) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) + " east edge gap at " +
-                                  coord_str(c));
+          report->add("grid", lvl + " east edge gap at " + coord_str(c));
         }
         if (row + 1 < rows) {
           const Aabb north = h->cell_box({col, row + 1}, level);
           if (std::abs(box.hi.y - north.lo.y) > kExactTol) {
-            report->add("grid", "L" + std::to_string(lvl) + " cells " +
-                                    coord_str(c) + " and " +
+            report->add("grid", lvl + " cells " + coord_str(c) + " and " +
                                     coord_str({col, row + 1}) +
                                     " overlap or leave a gap");
           }
         } else if (std::abs(box.hi.y - span.hi.y) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) +
-                                  " north edge gap at " + coord_str(c));
+          report->add("grid", lvl + " north edge gap at " + coord_str(c));
         }
 
         // Point-mapping round trip through the cell's interior.
         if (!(h->coord_at(box.center(), level) == c)) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
-                                  coord_str(c) +
+          report->add("grid", lvl + " cell " + coord_str(c) +
                                   " does not contain its own center point");
         }
         // Dense-id round trip.
         if (!(h->coord_of(h->id_of(c, level), level) == c)) {
-          report->add("grid", "L" + std::to_string(lvl) + " id round trip " +
-                                  "broken at " + coord_str(c));
+          report->add("grid", lvl + " id round trip broken at " + coord_str(c));
         }
         // Every cell has a real center intersection inside the map.
         if (!h->center(c, level).valid()) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
-                                  coord_str(c) + " has no center intersection");
+          report->add("grid", lvl + " cell " + coord_str(c) +
+                                  " has no center intersection");
         } else if (!map.contains_closed(h->center_pos(c, level), kCoverTol)) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
-                                  coord_str(c) +
+          report->add("grid", lvl + " cell " + coord_str(c) +
                                   " center intersection lies outside the map");
         }
       }

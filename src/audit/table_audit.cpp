@@ -90,9 +90,12 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
       cfg.l3_expiry + cfg.l3_gossip_period + cfg.l3_gossip_period;
 
   for (const auto& agent : svc->rsu_agents()) {
-    const std::string where =
-        "L" + std::to_string(static_cast<int>(agent.level())) + " RSU " +
-        coord_str(agent.coord());
+    // Appended, not `"L" + std::to_string(...)`: that form trips a
+    // -Wrestrict false positive in GCC 12 Release builds.
+    std::string where = "L";
+    where += std::to_string(static_cast<int>(agent.level()));
+    where += " RSU ";
+    where += coord_str(agent.coord());
 
     // Tables live only at their level.
     if (agent.level() == GridLevel::kL2 && !agent.l3_table().empty()) {

@@ -113,8 +113,12 @@ class World {
   //    write, at this timestamp and every later one.
   //  - on_intersection_pass pushes the mid-advance stop-line pose WITHOUT a
   //    bump: the update rules and the sender's own position read it at
-  //    once, while cached neighbor sets keep the last bumped pose until the
-  //    same vehicle's on_moved, later in the tick, bumps.
+  //    once. A build taken before the write keeps serving the old pose, but
+  //    the next rebuild picks up every write since the last build, bumped
+  //    or not. So the stop-line pose reaches neighbor sets with the same
+  //    vehicle's on_moved later in the tick, or earlier, when a broadcast
+  //    (say, the intersection-pass update itself) finds another vehicle's
+  //    bump still unbuilt.
   //  - the parking callbacks keep the parked flag and velocity in sync
   //    (positions do not change while parked).
   class PoseSyncBridge final : public MovementListener {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/profiler.h"
 #include "util/check.h"
 
 namespace hlsrg {
@@ -146,6 +147,7 @@ void MobilityModel::churn_tick() {
 }
 
 void MobilityModel::tick() {
+  ProfileScope profile(sim_->profiler(), "mobility_tick");
   if (cfg_.churn.enabled) churn_tick();
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const VehicleId v{i};

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -41,12 +43,19 @@ class NodeRegistry {
 
   void set_sink(NodeId id, PacketSink* sink);
 
-  // Pushes a new pose. Deliberately does NOT bump the position generation:
-  // the pose bridge decides when a write batch invalidates cached neighbor
-  // sets (it bumps on on_moved, and only there). position() returns the
-  // write at once; the neighbor index sees it only after the next bump.
+  // Pushes a new pose and logs the write (writes_since). Deliberately does
+  // NOT bump the position generation: the pose bridge decides when a write
+  // batch invalidates cached neighbor sets (it bumps on on_moved, and only
+  // there). position() returns the write at once; the neighbor index sees
+  // it only after the next bump, and then sees every write logged since its
+  // last build, bumped or not.
   void set_position(NodeId id, Vec2 position) {
     positions_[id.index()] = position;
+    if (written_.size() >= 2 * positions_.size()) {
+      written_base_ += written_.size();  // drop the log; readers rescan
+      written_.clear();
+    }
+    written_.push_back(id);
   }
 
   [[nodiscard]] std::size_t count() const { return positions_.size(); }
@@ -66,6 +75,23 @@ class NodeRegistry {
   void bump_position_generation() { ++position_generation_; }
   [[nodiscard]] std::uint64_t position_generation() const {
     return position_generation_;
+  }
+
+  // Position-write log: set_position appends the node id, one entry per
+  // write, numbered from 0 over the registry's life. write_seq() is the
+  // number of the next write. writes_since(seq) returns the ids written at
+  // numbers >= seq, oldest first and repeats included, or nullopt when some
+  // of them were dropped: the log holds at most twice as many writes as
+  // there are nodes, so a reader that falls further behind must rescan
+  // every node instead. Any number of readers may follow the log; none of
+  // them consumes it.
+  [[nodiscard]] std::uint64_t write_seq() const {
+    return written_base_ + written_.size();
+  }
+  [[nodiscard]] std::optional<std::span<const NodeId>> writes_since(
+      std::uint64_t seq) const {
+    if (seq < written_base_) return std::nullopt;
+    return std::span<const NodeId>(written_).subspan(seq - written_base_);
   }
 
   // --- dense vehicle block (SoA, indexed by VehicleId) ---------------------
@@ -103,7 +129,8 @@ class NodeRegistry {
     return vehicle_region_[v.index()];
   }
 
-  // Heap footprint of the directory (bench memory gates).
+  // Heap footprint of the directory (bench memory gates). The write log is
+  // neighbor-index bookkeeping and, like the index, is not counted.
   [[nodiscard]] std::size_t bytes() const;
 
  private:
@@ -116,6 +143,9 @@ class NodeRegistry {
   std::vector<std::uint8_t> vehicle_parked_;
   std::vector<std::int32_t> vehicle_region_;
   std::uint64_t position_generation_ = 0;
+  // Position-write log: written_[i] is write number written_base_ + i.
+  std::vector<NodeId> written_;
+  std::uint64_t written_base_ = 0;
 };
 
 }  // namespace hlsrg

@@ -10,10 +10,7 @@ namespace hlsrg {
 RadioMedium::RadioMedium(Simulator& sim, const NodeRegistry& registry,
                          RadioConfig cfg)
     : sim_(&sim), registry_(&registry), cfg_(cfg),
-      // The index serves contention densities straight from its per-node
-      // cache; counts at or below the contention-free threshold are
-      // loss-equivalent however they were obtained (see neighbor_index.h).
-      index_(registry, cfg.range_m, cfg.contention_free_neighbors) {
+      index_(registry, cfg.range_m) {
   HLSRG_CHECK(cfg.range_m > 0.0);
 }
 

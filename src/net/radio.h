@@ -128,9 +128,10 @@ class RadioMedium {
     return loss_zones_;
   }
 
-  // Test seam: forces the exact per-receiver density recount (bypassing the
-  // cell-sum shortcut and the per-node cache), so digest-equality tests can
-  // prove the cached path is behavior-neutral. Never set outside tests.
+  // Test seam: forces the per-receiver density recount by count_within
+  // (bypassing the sub-bucket count and the per-node cache), so
+  // digest-equality tests can prove the cached path is behavior-neutral.
+  // Never set outside tests.
   void set_reference_density_for_test(bool on) { reference_density_ = on; }
 
  private:
@@ -151,7 +152,8 @@ class RadioMedium {
                    int attempts_left, std::function<void()> on_delivered,
                    std::function<void()> on_lost, SpanId span, SpanId ctx);
   // Receiver-side contention density for the loss model: the index's cached
-  // value normally, the exact recount under the reference seam.
+  // sub-bucket count normally, the count_within recount under the reference
+  // seam. Both are exact.
   [[nodiscard]] int density_at(NodeId rx);
 
   Simulator* sim_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "net/radio.h"
 #include "net/wired.h"
 #include "obs/region_telemetry.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 
@@ -169,6 +172,196 @@ TEST(NeighborIndexTest, ExcludesRequestedNode) {
   index.query({0, 0}, 100.0, a, &out);
   EXPECT_EQ(out.size(), 1u);
   EXPECT_NE(out[0], a);
+}
+
+// local_density() (the sub-bucket count) must equal exact_density() (the
+// count_within walk) at every node.
+void expect_densities_exact(const NodeRegistry& reg, NeighborIndex& index) {
+  for (std::size_t i = 0; i < reg.count(); ++i) {
+    const NodeId id{i};
+    ASSERT_EQ(index.local_density(id), index.exact_density(id))
+        << "node " << i << " at " << reg.position(id);
+  }
+}
+
+TEST(NeighborIndexTest, SubBucketDensityMatchesCountWithinFuzz) {
+  for (const double cell : {100.0, 500.0}) {
+    Rng rng(static_cast<std::uint64_t>(cell));
+    NodeRegistry reg;
+    const double half = cell / 2.0;
+    // A coordinate around the origin: uniform, on a cell or sub-cell edge
+    // (every multiple of cell/2, negative ones included), or a few ulps off
+    // such an edge.
+    const auto coord = [&] {
+      const double edge =
+          half * static_cast<double>(rng.uniform_int(-8, 8));
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          return rng.uniform(-4.0 * cell, 4.0 * cell);
+        case 1:
+          return edge;
+        default: {
+          double x = edge;
+          const bool up = rng.chance(0.5);
+          for (std::int64_t k = rng.uniform_int(1, 3); k > 0; --k) {
+            x = std::nextafter(x, up ? 1e300 : -1e300);
+          }
+          return x;
+        }
+      }
+    };
+    for (int i = 0; i < 600; ++i) reg.add_node(Vec2{coord(), coord()});
+    // Nodes at exactly distance R (3-4-5 offsets and axis offsets from edge
+    // points, all exact in binary) and coincident nodes.
+    for (int i = 0; i < 300; ++i) {
+      const NodeId base{static_cast<std::uint32_t>(rng.uniform_int(0, 599))};
+      const Vec2 p = reg.position(base);
+      const double a = cell * 3.0 / 5.0;
+      const double b = cell * 4.0 / 5.0;
+      const Vec2 offsets[] = {{a, b}, {-b, a}, {cell, 0.0}, {0.0, -cell},
+                              {0.0, 0.0}};
+      reg.add_node(p + offsets[rng.uniform_int(0, 4)]);
+    }
+    NeighborIndex index(reg, cell);
+    index.refresh(SimTime{});
+    expect_densities_exact(reg, index);
+    // And again after incremental moves onto more edges.
+    for (int i = 0; i < 200; ++i) {
+      reg.set_position(
+          NodeId{static_cast<std::uint32_t>(rng.uniform_int(0, 899))},
+          Vec2{coord(), coord()});
+    }
+    reg.bump_position_generation();
+    index.refresh(SimTime{});
+    expect_densities_exact(reg, index);
+  }
+}
+
+TEST(NeighborIndexTest, SubBucketDensityMarginCoversRoundedBins) {
+  // With a cell size that has no exact binary form, p / cell rounds: a node
+  // an ulp or two from a sub-cell edge can be binned across it, a hair
+  // outside its sub-bucket's nominal bounds, and the bounds round too.
+  // Nodes placed at distance R from such corners, give or take ulps, put
+  // sub-buckets right at the wholly-inside threshold; only the rounding
+  // margin keeps the count equal to count_within.
+  const double cell = 333.3;
+  const double side = cell / 2.0;
+  const double r = cell;
+  NodeRegistry reg;
+  const auto step = [](double x, int ulps) {
+    for (; ulps > 0; --ulps) x = std::nextafter(x, 1e300);
+    for (; ulps < 0; ++ulps) x = std::nextafter(x, -1e300);
+    return x;
+  };
+  for (int kx = -12; kx <= 12; kx += 4) {
+    for (int ky = -12; ky <= 12; ky += 4) {
+      for (int s = 0; s < 4; ++s) {
+        const Vec2 corner{kx * cell + (s / 2) * side,
+                          ky * cell + (s % 2) * side};
+        for (int i = -2; i <= 2; ++i) {
+          for (int j = -2; j <= 2; ++j) {
+            reg.add_node(Vec2{step(corner.x, i), step(corner.y, j)});
+          }
+        }
+        const double a = r * 0.6;
+        const double b = r * 0.8;
+        for (const Vec2 off : {Vec2{a, b}, Vec2{b, a}, Vec2{-a, -b},
+                               Vec2{-b, -a}, Vec2{a, -b}, Vec2{-b, a}}) {
+          const Vec2 p = corner + off;
+          for (int i = -2; i <= 2; ++i) {
+            for (int j = -2; j <= 2; ++j) {
+              reg.add_node(Vec2{step(p.x, i), step(p.y, j)});
+            }
+          }
+        }
+      }
+    }
+  }
+  NeighborIndex index(reg, cell);
+  index.refresh(SimTime{});
+  expect_densities_exact(reg, index);
+}
+
+// Compares `index` against a fresh full build over the same registry: every
+// node's query() result, ids and order, and every local_density.
+void expect_matches_fresh_build(const NodeRegistry& reg, double cell,
+                                NeighborIndex& index) {
+  NeighborIndex fresh(reg, cell);
+  fresh.refresh(SimTime{});
+  std::vector<NodeId> got;
+  std::vector<NodeId> want;
+  for (std::size_t i = 0; i < reg.count(); ++i) {
+    const NodeId id{i};
+    got.clear();
+    want.clear();
+    index.query(reg.position(id), cell, id, &got);
+    fresh.query(reg.position(id), cell, id, &want);
+    ASSERT_EQ(got, want) << "query order diverged at node " << i;
+    ASSERT_EQ(index.local_density(id), fresh.local_density(id))
+        << "density diverged at node " << i;
+  }
+}
+
+TEST(NeighborIndexTest, IncrementalRefreshMatchesFreshBuild) {
+  const double cell = 100.0;
+  Rng rng(31);
+  NodeRegistry reg;
+  const auto random_pos = [&] {
+    return Vec2{rng.uniform(-250.0, 350.0), rng.uniform(-250.0, 350.0)};
+  };
+  for (int i = 0; i < 80; ++i) reg.add_node(random_pos());
+  NeighborIndex index(reg, cell);
+  index.refresh(SimTime{});
+  for (int round = 0; round < 300; ++round) {
+    const auto n = static_cast<std::int64_t>(reg.count());
+    // Mostly a few writes, some only, some all, bumped; sometimes so many
+    // that the registry's write log drops them and the refresh rescans.
+    const std::int64_t writes =
+        round % 25 == 0 ? 3 * n : rng.uniform_int(1, 6);
+    bool bumped = false;
+    for (std::int64_t w = 0; w < writes; ++w) {
+      const NodeId id{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
+      // Small moves stay in the sub-bucket (in-place update), larger ones
+      // cross sub-buckets and cells.
+      const Vec2 p = rng.chance(0.5)
+                         ? reg.position(id) + Vec2{rng.uniform(-2.0, 2.0),
+                                                   rng.uniform(-2.0, 2.0)}
+                         : random_pos();
+      reg.set_position(id, p);
+      if (rng.chance(0.3)) {
+        reg.bump_position_generation();
+        bumped = true;
+      }
+    }
+    if (rng.chance(0.05)) {
+      reg.add_node(random_pos());
+      bumped = true;
+    }
+    index.refresh(SimTime{});
+    // Unbumped writes stay invisible, so a fresh build only agrees once a
+    // bump (or a new node) has made every write visible.
+    if (bumped) expect_matches_fresh_build(reg, cell, index);
+  }
+}
+
+TEST(NeighborIndexTest, UnbumpedWriteBecomesVisibleThroughAnotherBump) {
+  // A stop-line pose is written without a bump; another vehicle's bump
+  // makes the next rebuild pick it up.
+  NodeRegistry reg;
+  const NodeId a = reg.add_node(Vec2{50.0, 50.0});
+  const NodeId b = reg.add_node(Vec2{800.0, 400.0});
+  const NodeId probe = reg.add_node(Vec2{880.0, 50.0});
+  NeighborIndex index(reg, 500.0);
+  index.refresh(SimTime{});
+  reg.set_position(a, Vec2{700.0, 50.0});  // no bump
+  reg.set_position(b, Vec2{810.0, 400.0});
+  reg.bump_position_generation();
+  index.refresh(SimTime{});
+  std::vector<NodeId> out;
+  index.query(reg.position(probe), 500.0, probe, &out);
+  EXPECT_EQ(out, (std::vector<NodeId>{a, b}));
+  EXPECT_EQ(index.local_density(probe), 2);
+  expect_matches_fresh_build(reg, 500.0, index);
 }
 
 // --- RadioMedium ------------------------------------------------------------

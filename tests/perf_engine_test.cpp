@@ -1,9 +1,10 @@
 // Equivalence and regression tests for the hot-path engine overhaul.
 //
-// The optimized engine (cached contention density with the saturation
-// shortcut read per receiver in the broadcast loss pass, slab event queue,
-// shared immutable packets) must be behavior-identical to the straightforward reference
-// implementations it replaced. These tests pin that equivalence:
+// The optimized engine (the per-receiver contention density counted on the
+// neighbor index's sub-buckets and cached per build, read in the broadcast
+// loss pass; slab event queue; shared immutable packets) must be
+// behavior-identical to the straightforward reference implementations it
+// replaced. These tests pin that equivalence:
 //   * full-run state digests, reference density vs cached density, across
 //     the paper scenarios, protocols, beacons, and an all-kinds fault plan;
 //   * the slab EventQueue against a naive sorted-list model under fuzzed
@@ -42,11 +43,9 @@ namespace {
 // Reference-vs-optimized digest equality.
 //
 // With the reference seam on, the radio recounts every receiver's density
-// exactly (bypassing the 3x3 cell-sum shortcut and the per-node cache).
-// The shortcut only fires when the cell-block bound already clears the
-// contention-free threshold, where exact and approximate counts produce the
-// same loss probability — so every random draw, and therefore the final
-// state digest, must match bit for bit.
+// with count_within (bypassing the sub-bucket count and the per-node
+// cache). Both counts are exact, so every loss probability, every random
+// draw, and therefore the final state digest must match bit for bit.
 
 std::uint64_t digest_of(const ScenarioConfig& cfg, Protocol protocol,
                         bool reference_density) {
@@ -56,39 +55,39 @@ std::uint64_t digest_of(const ScenarioConfig& cfg, Protocol protocol,
   return state_digest(world);
 }
 
-void expect_density_shortcut_neutral(const ScenarioConfig& cfg,
+void expect_density_cache_neutral(const ScenarioConfig& cfg,
                                      Protocol protocol) {
   const std::uint64_t reference = digest_of(cfg, protocol, true);
   const std::uint64_t optimized = digest_of(cfg, protocol, false);
   EXPECT_EQ(reference, optimized)
-      << "cached density diverged from the exact recount under "
+      << "cached density diverged from the count_within recount under "
       << protocol_name(protocol);
 }
 
 TEST(DensityEquivalenceTest, HlsrgPaperScenario) {
-  expect_density_shortcut_neutral(paper_scenario(300, 42), Protocol::kHlsrg);
+  expect_density_cache_neutral(paper_scenario(300, 42), Protocol::kHlsrg);
 }
 
 TEST(DensityEquivalenceTest, HlsrgDenserSweepPoint) {
-  // Fig 3.4's densest x-axis point: saturated neighborhoods exercise the
-  // exact-count fallback, not just the cell-sum shortcut.
-  expect_density_shortcut_neutral(paper_scenario(500, 7), Protocol::kHlsrg);
+  // Fig 3.4's densest x-axis point: the fullest neighborhoods put the most
+  // members in sub-buckets that cross the range circle.
+  expect_density_cache_neutral(paper_scenario(500, 7), Protocol::kHlsrg);
 }
 
 TEST(DensityEquivalenceTest, RlsmpPaperScenario) {
-  expect_density_shortcut_neutral(paper_scenario(300, 11), Protocol::kRlsmp);
+  expect_density_cache_neutral(paper_scenario(300, 11), Protocol::kRlsmp);
 }
 
 TEST(DensityEquivalenceTest, FloodScenario) {
   // FLOOD rebroadcasts everything, so this is the densest broadcast workload
   // per vehicle; keep the fleet small.
-  expect_density_shortcut_neutral(paper_scenario(150, 9), Protocol::kFlood);
+  expect_density_cache_neutral(paper_scenario(150, 9), Protocol::kFlood);
 }
 
 TEST(DensityEquivalenceTest, WithBeaconsEnabled) {
   ScenarioConfig cfg = paper_scenario(200, 5);
   cfg.beacons.enabled = true;
-  expect_density_shortcut_neutral(cfg, Protocol::kHlsrg);
+  expect_density_cache_neutral(cfg, Protocol::kHlsrg);
 }
 
 TEST(DensityEquivalenceTest, UnderAllFaultKindsPlan) {
@@ -136,7 +135,7 @@ TEST(DensityEquivalenceTest, UnderAllFaultKindsPlan) {
   gps.sigma_m = 15.0;
   plan.windows.push_back(gps);
   cfg.fault_plan = plan;
-  expect_density_shortcut_neutral(cfg, Protocol::kHlsrg);
+  expect_density_cache_neutral(cfg, Protocol::kHlsrg);
 }
 
 // ---------------------------------------------------------------------------
